@@ -44,10 +44,11 @@ class FiniteDist:
             raise DomainError("atoms and probs must have equal length")
         if len(atoms) != len(set(atoms)):
             raise DomainError("atoms must be distinct")
-        if np.any(probs < 0):
+        # both checks are written to fail on NaN
+        if not np.all(probs >= 0):
             raise DomainError("probabilities must be nonnegative")
         total = math.fsum(probs.tolist())
-        if abs(total - 1.0) > _PROB_TOL:
+        if not abs(total - 1.0) <= _PROB_TOL:
             raise DomainError(f"probabilities sum to {total!r}, not 1")
         self.atoms = atoms
         self.probs = probs
@@ -122,10 +123,13 @@ class GaussianMixture:
             raise DomainError(f"stds shape {stds.shape} incompatible with {k} components of dim {dim}")
         if len(weights) != k:
             raise DomainError("weights and means must have equal length")
-        if np.any(weights < 0) or abs(math.fsum(weights.tolist()) - 1.0) > _PROB_TOL:
+        # every check is written to fail on NaN
+        if not (np.all(weights >= 0) and abs(math.fsum(weights.tolist()) - 1.0) <= _PROB_TOL):
             raise DomainError("weights must be a probability vector")
-        if np.any(stds <= 0):
-            raise DomainError("standard deviations must be positive")
+        if not np.all(np.isfinite(means)):
+            raise DomainError("means must be finite")
+        if not np.all((stds > 0) & np.isfinite(stds)):
+            raise DomainError("standard deviations must be positive and finite")
         self.weights = weights
         self.means = means
         self.stds = stds

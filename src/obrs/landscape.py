@@ -11,11 +11,14 @@ loss surface: sweeping a mode-spacing family shows spurious local minima
 flattening out as the budget grows, and fitting a single Gaussian to a
 bimodal target shows the optimal proposal widening with the budget.
 
-All continuous losses are quadrature proxies on a fixed trapezoid grid;
-the same grid feeds the slack solver and the divergence, so comparisons
-across budgets are internally consistent. The integrand is evaluated from
-log-densities (see ``fdiv._fdiv_terms``), which keeps lattice corners with
-log-ratios of several hundred finite.
+All continuous losses are quadrature proxies on a trapezoid grid with a
+fixed node count that spans each (target, model) pair's own support, so
+the nodes move with the model. Within one loss evaluation the same grid
+feeds the slack solver and the divergence, and a given pair gets the same
+grid at every budget, so comparisons across budgets are internally
+consistent. The integrand is evaluated from log-densities (see
+``fdiv._fdiv_terms``), which keeps lattice corners with log-ratios of
+several hundred finite.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ def budgeted_loss(
         raise DomainError(f"unknown loss mode {mode!r}")
     if not isinstance(target, GaussianMixture) or not isinstance(model, GaussianMixture):
         raise DomainError("quadrature mode needs two mixtures")
-    if budget < 1:
+    if not budget >= 1:  # also rejects NaN
         raise DomainError("budget must be at least 1 proposal per kept sample")
     # inline the slack solve on log-densities computed once: this loop body
     # runs tens of thousands of times across a fit lattice

@@ -67,7 +67,7 @@ def random_feasible_acceptance(
     everything toward 1 or lowering toward ``floor`` proportionally to the
     available headroom), which hit the constraint in one or two passes.
     """
-    if budget < 1:
+    if not budget >= 1:  # also rejects NaN
         raise DomainError("budget must be at least 1")
     q = model.probs
     tau = 1.0 / budget
@@ -350,7 +350,7 @@ def check_ball_membership(
     membership comes with the acceptance table that realizes it at rate
     exactly 1/budget.
     """
-    if budget < 1:
+    if not budget >= 1:  # also rejects NaN
         raise DomainError("budget must be at least 1")
     c, q = candidate.probs, model.probs
     orphan = np.flatnonzero((q == 0) & (c > 0))

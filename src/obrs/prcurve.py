@@ -53,10 +53,19 @@ class PRCurve:
 # ---------------------------------------------------------------------------
 
 
+def _thresholds(lams) -> np.ndarray:
+    """The thresholds as floats; NaN and negative values raise DomainError."""
+    lams = np.asarray(lams, dtype=float)
+    if not np.all(lams >= 0):
+        raise DomainError("threshold lam must be a nonnegative number")
+    return lams
+
+
 def _pr_arrays(pw: np.ndarray, qw: np.ndarray, lam: float) -> tuple[float, float]:
-    """alpha, beta from nonnegative weight vectors (exact fsum reduction)."""
-    if lam < 0:
-        raise DomainError("threshold lam must be nonnegative")
+    """alpha, beta from nonnegative weight vectors (exact fsum reduction).
+
+    The reference for ``_pr_scan``; ``lam`` must already be validated.
+    """
     if lam == 0:
         return 0.0, math.fsum(pw[qw > 0].tolist())
     if math.isinf(lam):
@@ -65,6 +74,37 @@ def _pr_arrays(pw: np.ndarray, qw: np.ndarray, lam: float) -> tuple[float, float
     alpha = math.fsum(np.where(low, lam * pw, qw).tolist())
     beta = math.fsum(np.where(low, pw, qw / lam).tolist())
     return alpha, beta
+
+
+def _pr_scan(pw: np.ndarray, qw: np.ndarray, lams) -> PRCurve:
+    """The curve at every threshold from one sort of the node ratios.
+
+    Only nodes where both weights are positive contribute at a finite
+    lam > 0. Sorted by t = q/p, a threshold splits them at k = #{t < lam}:
+    the nodes below contribute q to alpha (q/lam to beta), the rest lam*p
+    (p). So with Q the prefix sums of q and P the suffix sums of p,
+
+        alpha = Q[k] + lam * P[k],   beta = Q[k] / lam + P[k].
+
+    lam = 0 and lam = inf keep the exact ``_pr_arrays`` endpoint values.
+    """
+    lams = _thresholds(lams)
+    both = (pw > 0) & (qw > 0)
+    p, q = pw[both], qw[both]
+    order = np.argsort(q / p)
+    p, q = p[order], q[order]
+    t = q / p
+    q_pre = np.concatenate(([0.0], np.cumsum(q)))
+    p_suf = np.concatenate((np.cumsum(p[::-1])[::-1], [0.0]))
+    k = np.searchsorted(t, lams)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alphas = q_pre[k] + lams * p_suf[k]
+        betas = q_pre[k] / lams + p_suf[k]
+    for end in (0.0, math.inf):
+        at_end = lams == end
+        if np.any(at_end):
+            alphas[at_end], betas[at_end] = _pr_arrays(pw, qw, end)
+    return PRCurve(lams=lams, alphas=alphas, betas=betas)
 
 
 def pr_point(
@@ -79,6 +119,7 @@ def pr_point(
 ) -> PRPoint:
     """One tradeoff point. ``exact`` for finite pairs, ``quadrature`` for 1-d
     mixture pairs, ``mc`` for anything with a ratio (adds stderrs)."""
+    lam = float(_thresholds(lam))
     if mode == "exact":
         if not (isinstance(target, FiniteDist) and isinstance(model, FiniteDist)):
             raise DomainError("exact mode needs two finite distributions")
@@ -126,8 +167,14 @@ def pr_curve(
     n_nodes: int = 4096,
     span: float = 8.0,
 ) -> PRCurve:
-    """Evaluate the tradeoff curve on a threshold grid (exact or quadrature)."""
-    lams = np.asarray(lams, dtype=float)
+    """Evaluate the tradeoff curve on a threshold grid (exact or quadrature).
+
+    All thresholds come from one sort-and-scan of the node ratios
+    (``_pr_scan``). Its prefix sums accumulate in order, so it agrees with
+    the exact fsum reduction of ``pr_point`` to about n * eps, n being the
+    number of atoms or quadrature nodes; lam = 0 and lam = inf are exact.
+    NaN or negative thresholds raise ``DomainError``.
+    """
     if mode == "exact":
         if not (isinstance(target, FiniteDist) and isinstance(model, FiniteDist)):
             raise DomainError("exact mode needs two finite distributions")
@@ -140,11 +187,7 @@ def pr_curve(
         qw = w * np.exp(np.asarray(model.log_density(x), dtype=float))
     else:
         raise DomainError(f"unknown pr curve mode {mode!r}")
-    alphas = np.empty(len(lams))
-    betas = np.empty(len(lams))
-    for i, lam in enumerate(lams):
-        alphas[i], betas[i] = _pr_arrays(pw, qw, float(lam))
-    return PRCurve(lams=lams, alphas=alphas, betas=betas)
+    return _pr_scan(pw, qw, lams)
 
 
 def default_lambda_grid(center: float, n: int = 201, decades: float = 3.0) -> np.ndarray:
@@ -176,7 +219,7 @@ def predict_refined_curve(
     Pass the *measured* budget (1/Z) for an exact identity; at the knee
     lam' = scale/M the base alpha equals exactly 1/budget.
     """
-    if budget < 1:
+    if not budget >= 1:  # also rejects NaN
         raise DomainError("budget must be at least 1")
     knee = scale / sup_ratio
     lams = budget * base.lams
@@ -238,19 +281,8 @@ def check_refined_prediction(
             raise DomainError("acceptance function kills all model mass")
         k_eff = 1.0 / z
         tw = qw * a * k_eff
-        lam_grid = _lams_or_default(lams, spec, sol)
-        base_pts = [_pr_arrays(pw, qw, float(l)) for l in lam_grid]
-        base = PRCurve(
-            lams=np.asarray(lam_grid, dtype=float),
-            alphas=np.array([p[0] for p in base_pts]),
-            betas=np.array([p[1] for p in base_pts]),
-        )
-        direct_pts = [_pr_arrays(pw, tw, float(l) * k_eff) for l in lam_grid]
-        direct = PRCurve(
-            lams=base.lams * k_eff,
-            alphas=np.array([p[0] for p in direct_pts]),
-            betas=np.array([p[1] for p in direct_pts]),
-        )
+        base = _pr_scan(pw, qw, _lams_or_default(lams, spec, sol))
+        direct = _pr_scan(pw, tw, base.lams * k_eff)
     else:
         raise DomainError(f"unknown mode {mode!r}")
     if sol.status == "unit":

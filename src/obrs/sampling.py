@@ -329,7 +329,7 @@ def solve_accept_scale(
     otherwise the rate equation is solved by bisection (status
     ``budgeted``). eps defaults to 1e-9 in exact mode and 1e-6 otherwise.
     """
-    if budget < 1:
+    if not budget >= 1:  # also rejects NaN
         raise DomainError("budget must be at least 1 proposal per kept sample")
     if eps is None:
         eps = 1e-9 if mode == "exact" else 1e-6
@@ -497,7 +497,7 @@ def acceptance_from_target(
     the candidate sits inside the budget ball, i.e. candidate <= budget *
     model atomwise; the first violating atom is reported otherwise.
     """
-    if budget < 1:
+    if not budget >= 1:  # also rejects NaN
         raise DomainError("budget must be at least 1")
     if not candidate.same_support(model):
         raise OutOfBallError("candidate and model must share an atom list", atom_index=-1)
@@ -541,7 +541,7 @@ def refine(
     atoms in exact mode, a single calibration sample in sample mode, the
     quadrature grid in grid mode), so a seeded run is fully reproducible.
     """
-    if budget < 1:
+    if not budget >= 1:  # also rejects NaN
         raise DomainError("budget must be at least 1 proposal per kept sample")
     if eps is None:
         eps = 1e-9 if mode == "exact" else 1e-6

@@ -44,6 +44,12 @@ def test_refine_command(tmp_path):
         assert (out / name).exists()
 
 
+def test_refine_nan_budget_exits_one(tmp_path, capsys):
+    out = tmp_path / "nan"
+    assert run_cli("refine", "--budget", "nan", "--nodes", 256, "--out", out) == 1
+    assert "budget" in capsys.readouterr().err
+
+
 def test_refine_rate_is_inverse_budget(tmp_path):
     out = tmp_path / "rate"
     assert run_cli("refine", "--rate", 0.25, "--nodes", 1024, "--out", out) == 0

@@ -40,6 +40,13 @@ def test_finite_dist_validation():
     assert d.density(2) == 0.0
 
 
+@pytest.mark.parametrize("probs", [[math.nan, 1.0], [0.5, math.nan], [math.inf, 1.0]])
+def test_finite_dist_rejects_non_finite_probs(probs):
+    # NaN fails both the "< 0" test and the "sum off by more than tol" test
+    with pytest.raises(DomainError):
+        FiniteDist([0, 1], probs)
+
+
 def test_finite_dist_lookup(two_point):
     target, _ = two_point
     assert target.density(0) == 0.5
@@ -109,6 +116,22 @@ def test_mixture_validation():
         GaussianMixture(weights=[1.0], means=[[0.0]], stds=[[0.0]])
     with pytest.raises(DomainError):
         GaussianMixture(weights=[1.0], means=[[0.0, 0.0, 0.0]], stds=[[1.0, 1.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "weights, means, stds",
+    [
+        ([1.0], [[math.nan]], [[1.0]]),
+        ([1.0], [[math.inf]], [[1.0]]),
+        ([0.5, 0.5], [[0.0, 1.0], [math.nan, 0.0]], [[1.0, 1.0], [1.0, 1.0]]),
+        ([1.0], [[0.0]], [[math.nan]]),
+        ([1.0], [[0.0]], [[math.inf]]),
+        ([math.nan, 1.0], [[0.0], [1.0]], [[1.0], [1.0]]),
+    ],
+)
+def test_mixture_rejects_non_finite_parameters(weights, means, stds):
+    with pytest.raises(DomainError):
+        GaussianMixture(weights=weights, means=means, stds=stds)
 
 
 def test_mixture_sampling_moments(rng):

@@ -4,19 +4,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obrs import (
     DomainError,
     FiniteDist,
+    bimodal_target,
     check_refined_prediction,
     default_lambda_grid,
     pr_curve,
     pr_point,
     predict_refined_curve,
     ratio_of,
+    refine,
+    single_gaussian,
+    trapezoid_grid,
 )
 from obrs.fdiv import max_divergence
 from obrs.oracle import random_instance
+from obrs.prcurve import _pr_arrays
+
+# the scan accumulates prefix sums in order, so it agrees with the exact
+# fsum reference to about n * eps; 1e-13 covers the 4096-node grid
+SCAN_TOL = 1e-13
 
 
 def test_two_point_balanced_threshold(two_point):
@@ -58,6 +69,81 @@ def test_alpha_monotone_in_lam(two_point, rng):
     curve = pr_curve(target, model, lams)
     assert np.all(np.diff(curve.alphas) >= -1e-14)
     assert np.all(np.diff(curve.betas) <= 1e-14)
+
+
+def test_nan_and_negative_thresholds_rejected(two_point, rng):
+    target, model = two_point
+    for lam in (math.nan, -0.5):
+        for mode in ("exact", "mc"):
+            with pytest.raises(DomainError, match="threshold"):
+                pr_point(target, model, lam, mode=mode, n=10, rng=rng)
+        with pytest.raises(DomainError, match="threshold"):
+            pr_curve(target, model, [1.0, lam])
+        with pytest.raises(DomainError, match="threshold"):
+            check_refined_prediction(target, model, 2.0, lams=[lam])
+
+
+def _assert_matches_reference(curve, pw, qw):
+    for lam, alpha, beta in zip(curve.lams, curve.alphas, curve.betas):
+        ref_alpha, ref_beta = _pr_arrays(pw, qw, float(lam))
+        assert abs(alpha - ref_alpha) <= SCAN_TOL, (lam, alpha, ref_alpha)
+        assert abs(beta - ref_beta) <= SCAN_TOL, (lam, beta, ref_beta)
+
+
+_mass = st.one_of(st.just(0.0), st.floats(1e-9, 1.0))
+
+
+@st.composite
+def _finite_pair_and_thresholds(draw):
+    n = draw(st.integers(1, 40))
+    p = np.array(draw(st.lists(_mass, min_size=n, max_size=n)))
+    q = np.array(draw(st.lists(_mass, min_size=n, max_size=n)))
+    if p.sum() == 0:
+        p[0] = 1.0
+    if q.sum() == 0:
+        q[-1] = 1.0
+    target, model = FiniteDist(range(n), p / p.sum()), FiniteDist(range(n), q / q.sum())
+    both = (target.probs > 0) & (model.probs > 0)
+    ties = model.probs[both] / target.probs[both]  # where lam * p == q
+    lams = np.concatenate((
+        [0.0, math.inf], ties, 1.0 / ties,
+        draw(st.lists(st.floats(1e-6, 1e6), max_size=20)),
+    ))
+    return target, model, np.sort(lams)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_finite_pair_and_thresholds())
+def test_scan_matches_fsum_reference(case):
+    target, model, lams = case
+    pw, qw = target.probs, model.probs
+    curve = pr_curve(target, model, lams)
+    _assert_matches_reference(curve, pw, qw)
+    # endpoints keep their exact fsum values
+    assert curve.alphas[0] == 0.0
+    assert curve.betas[0] == math.fsum(pw[qw > 0].tolist())
+    assert curve.alphas[-1] == math.fsum(qw[pw > 0].tolist())
+    assert curve.betas[-1] == 0.0
+    inner = slice(1, -1)
+    np.testing.assert_allclose(
+        curve.alphas[inner], curve.lams[inner] * curve.betas[inner], rtol=0, atol=SCAN_TOL
+    )
+    assert np.all(np.diff(curve.alphas) >= -1e-14)
+    assert np.all(np.diff(curve.betas) <= 1e-14)
+
+
+@pytest.mark.parametrize("budget", [1.5, 2.0, 5.0])
+def test_scan_matches_fsum_reference_on_refine_grid(budget):
+    # the obrs refine defaults: bimodal pair, 4096 nodes, 201 thresholds at the knee
+    target, model = bimodal_target(), single_gaussian(0.0, 1.5)
+    x, w = trapezoid_grid([target, model], n_nodes=4096, span=8.0)
+    spec, sol = refine(target, model, budget, mode="grid", grid=x, grid_weights=w)
+    log_scale = spec.log_scale if sol.status == "budgeted" else 0.0
+    lams = default_lambda_grid(math.exp(log_scale - spec.log_sup), n=201)
+    curve = pr_curve(target, model, lams, mode="quadrature")
+    pw = w * np.exp(target.log_density(x))
+    qw = w * np.exp(model.log_density(x))
+    _assert_matches_reference(curve, pw, qw)
 
 
 def test_identical_distributions_curve(two_point):

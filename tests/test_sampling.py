@@ -13,8 +13,13 @@ from obrs import (
     OutOfBallError,
     acceptance_from_target,
     bimodal_target,
+    budgeted_loss,
+    check_ball_membership,
     drs_gamma_for_rate,
     estimate_sup_ratio,
+    pr_curve,
+    predict_refined_curve,
+    random_feasible_acceptance,
     ratio_of,
     refine,
     refined_finite,
@@ -23,6 +28,7 @@ from obrs import (
     solve_accept_scale,
     trapezoid_grid,
 )
+from obrs.fdiv import Generator
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +93,33 @@ def test_budget_below_one_rejected(two_point):
     r = ratio_of(target, model)
     with pytest.raises(DomainError):
         solve_accept_scale(r, model, 2.5, budget=0.5)
+
+
+def test_nan_budget_rejected(two_point, mixture_pair, rng):
+    # NaN passes a "budget < 1" guard and then bisects toward a meaningless rate
+    target, model = two_point
+    r = ratio_of(target, model)
+    calls = [
+        lambda b: solve_accept_scale(r, model, 2.5, budget=b),
+        lambda b: refine(target, model, b, mode="exact"),
+        lambda b: acceptance_from_target(target, model, b),
+        lambda b: random_feasible_acceptance(model, b, rng),
+        lambda b: check_ball_membership(target, model, b),
+        lambda b: budgeted_loss(Generator.gan(), *mixture_pair, b, mode="quadrature", n_nodes=64),
+        lambda b: predict_refined_curve(pr_curve(target, model, [1.0]), b, 1.0, 2.5),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="budget"):
+            call(math.nan)
+
+
+def test_infinite_budget_is_unbudgeted(two_point):
+    target, model = two_point
+    spec, sol = refine(target, model, math.inf, mode="exact")
+    assert sol.status == "unbudgeted"
+    assert sol.rate == pytest.approx(1.0 / 2.5, abs=1e-12)
+    sol = solve_accept_scale(ratio_of(target, model), model, 2.5, budget=math.inf)
+    assert sol.status == "unbudgeted"
 
 
 def test_rate_hits_target_across_budgets(two_point):
