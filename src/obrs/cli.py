@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import platform
@@ -37,7 +38,7 @@ from .dist import (
     single_gaussian,
     trapezoid_grid,
 )
-from .errors import ObrsError
+from .errors import DomainError, ObrsError
 from .fdiv import (
     GENERATOR_PANEL,
     Generator,
@@ -90,15 +91,39 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_summary(path: Path, payload: dict) -> None:
+def _write_json(path: Path, payload: dict) -> None:
+    """Write standard JSON; NaN and Infinity are an error, not an output."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ObrsError(f"{path.name}: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _write_summary(path: Path, payload: dict) -> None:
+    _write_json(path, payload)
 
 
 def _manifest_schema() -> dict:
     text = resources.files("obrs").joinpath("data/manifest-schema.json").read_text("utf-8")
     return json.loads(text)
+
+
+@functools.cache
+def _manifest_validator():
+    """The schema's validator, checked against its meta-schema once per process."""
+    schema = _manifest_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate_manifest(manifest: dict) -> None:
+    """Same result and message as ``jsonschema.validate`` against the schema."""
+    error = jsonschema.exceptions.best_match(_manifest_validator().iter_errors(manifest))
+    if error is not None:
+        raise error
 
 
 def _write_manifest(
@@ -117,10 +142,8 @@ def _write_manifest(
         "outputs": outputs,
         "wall_time_s": wall,
     }
-    jsonschema.validate(manifest, _manifest_schema())
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _validate_manifest(manifest)
+    _write_json(out / "manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +380,13 @@ def run_bounds(cfg: dict, out: Path) -> list[str]:
 def _grid2d_metrics(
     samples: np.ndarray, modes: np.ndarray, radius: float, quota: int
 ) -> tuple[float, float]:
-    d = np.linalg.norm(samples[:, None, :] - modes[None, :, :], axis=2)
+    # axis by axis: bit-identical to np.linalg.norm of the (n, k, 2) differences
+    dx = samples[:, 0:1] - modes[:, 0]
+    dy = samples[:, 1:2] - modes[:, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    d = np.sqrt(dx, out=dx)
     nearest = np.argmin(d, axis=1)
     close = d[np.arange(len(samples)), nearest] <= radius
     precision = float(np.mean(close))
@@ -367,6 +396,8 @@ def _grid2d_metrics(
 
 
 def run_grid2d(cfg: dict, out: Path) -> list[str]:
+    rate = cfg["rate"]
+    budget = _budget_of_rate(rate)
     target = gaussian_grid_2d(cfg["sigma"], cfg["spacing"])
     jitter_rng = np.random.default_rng([cfg["seed"], 0xD1])
     weights = jitter_rng.dirichlet(np.full(25, cfg["jitter"] / 25.0))
@@ -378,14 +409,13 @@ def run_grid2d(cfg: dict, out: Path) -> list[str]:
     lr_cal = np.asarray(ratio.log(cal), dtype=float)
     log_sup = float(np.max(lr_cal))
     cal_w = np.full(len(lr_cal), 1.0 / len(lr_cal))
-    rate = cfg["rate"]
     log_c, cal_rate, _, _ = _solve_log_shift(lr_cal - log_sup, cal_w, rate, cfg["eps"])
     # rate-matched drs shares the calibration: gamma = -log(scale)
     specs = {
         "baseline": AcceptanceSpec.unit(),
         "obrs": AcceptanceSpec(
             kind="budgeted", ratio=ratio, log_sup=log_sup, log_scale=log_c,
-            budget=1.0 / rate,
+            budget=budget,
         ),
         "drs": AcceptanceSpec(kind="drs", ratio=ratio, log_sup=log_sup, gamma=-log_c),
     }
@@ -433,7 +463,7 @@ def run_grid2d(cfg: dict, out: Path) -> list[str]:
         d = np.asarray(agg[method]["draws"])
         summary["methods"][method] = {
             "precision_mean": float(np.mean(p)),
-            "precision_std": float(np.std(p, ddof=1)),
+            "precision_std": float(np.std(p, ddof=1)) if len(p) > 1 else None,
             "recall_mean": float(np.mean(r)),
             "recall_min": float(np.min(r)),
             "draws_per_accept_mean": float(np.mean(d) / n),
@@ -453,7 +483,7 @@ def run_sample(cfg: dict, out: Path) -> list[str]:
     with open(cfg["model"], encoding="utf-8") as fh:
         model = dist_from_json(json.load(fh))
     rng = np.random.default_rng([cfg["seed"], 2])
-    budget = cfg["budget"] if cfg["budget"] is not None else 1.0 / cfg["rate"]
+    budget = cfg["budget"] if cfg["budget"] is not None else _budget_of_rate(cfg["rate"])
     from .dist import FiniteDist
 
     if isinstance(model, FiniteDist):
@@ -513,7 +543,7 @@ def _execute(command: str, cfg: dict, out_dir: str) -> None:
 def run_rerun(manifest_path: str, out_dir: str) -> None:
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
-    jsonschema.validate(manifest, _manifest_schema())
+    _validate_manifest(manifest)
     _execute(manifest["command"], manifest["config"], out_dir)
 
 
@@ -603,13 +633,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _budget_of_rate(rate: float) -> float:
+    if not 0 < rate <= 1:  # also rejects NaN
+        raise DomainError(f"rate must lie in (0, 1], got {rate!r}")
+    return 1.0 / rate
+
+
 def _config_from_args(args: argparse.Namespace) -> dict:
     cfg = {k: v for k, v in vars(args).items() if k not in ("command", "out", "manifest")}
     if args.command in ("refine", "sample"):
         if cfg.get("budget") is None and cfg.get("rate") is None:
             cfg["budget"] = 2.0
         if cfg.get("budget") is None:
-            cfg["budget"] = 1.0 / cfg["rate"]
+            cfg["budget"] = _budget_of_rate(cfg["rate"])
+        elif not math.isfinite(cfg["budget"]):
+            # the library reads budget=inf as unbudgeted, but a run's JSON
+            # outputs cannot record a non-finite value
+            raise DomainError(f"budget must be finite, got {cfg['budget']!r}")
         cfg.pop("rate", None)
     if args.command in ("landscape", "fit"):
         cfg["budgets"] = [float(b) for b in str(cfg["budgets"]).split(",") if b]

@@ -134,8 +134,9 @@ class GaussianMixture:
         self.means = means
         self.stds = stds
         self.dim = dim
-        self._log_w = np.log(weights, out=np.full_like(weights, -np.inf), where=weights > 0)
-        self._log_norm = -np.sum(np.log(stds), axis=1) - 0.5 * dim * math.log(2 * math.pi)
+        log_w = np.log(weights, out=np.full_like(weights, -np.inf), where=weights > 0)
+        log_norm = -np.sum(np.log(stds), axis=1) - 0.5 * dim * math.log(2 * math.pi)
+        self._log_base = log_w + log_norm  # log(w_j) plus the normalizer of component j
 
     @property
     def n_components(self) -> int:
@@ -155,15 +156,22 @@ class GaussianMixture:
     def log_density(self, x) -> np.ndarray | float:
         """Log density; exact in log space even deep in the tails."""
         pts = self._points(x)  # (n, dim)
-        z = (pts[:, None, :] - self.means[None, :, :]) / self.stds[None, :, :]
-        comp = self._log_w + self._log_norm - 0.5 * np.sum(z * z, axis=2)
+        # axis by axis on (n, k) arrays avoids (n, k, dim) temporaries; same ops, same bits
+        sq = None
+        for d in range(self.dim):
+            z = pts[:, d:d + 1] - self.means[:, d]
+            z /= self.stds[:, d]
+            z *= z
+            sq = z if sq is None else np.add(sq, z, out=sq)
+        sq *= 0.5
+        comp = np.subtract(self._log_base, sq, out=sq)
         if comp.shape[1] == 1:
             out = comp[:, 0]
         else:
-            # logsumexp by hand: component counts are tiny and this sits on
-            # the hot path of every quadrature sweep
             m = np.max(comp, axis=1)
-            out = m + np.log(np.sum(np.exp(comp - m[:, None]), axis=1))
+            comp -= m[:, None]
+            np.exp(comp, out=comp)
+            out = m + np.log(np.sum(comp, axis=1))
         return _match_shape(out, x, self.dim)
 
     def density(self, x) -> np.ndarray | float:

@@ -430,10 +430,17 @@ def rejection_sample(
 
     Deterministic given the rng state (and batch_size). Raises
     BudgetExhaustedError, carrying the partial count, if max_draws proposals
-    are examined before the quota fills.
+    are examined before the quota fills, and DomainError, before any draw,
+    if a finite model's exact acceptance rate is 0.
     """
     if n_target <= 0:
         raise DomainError("n_target must be positive")
+    if isinstance(model, FiniteDist):
+        # the exact acceptance rate; at 0 the loop below would never return
+        live = model.probs > 0
+        a = spec.accept_prob([x for x, m in zip(model.atoms, live) if m])
+        if not np.dot(model.probs[live], a) > 0:
+            raise DomainError("acceptance rate is 0 under the model: no proposal can pass")
     kept: list = []
     n_kept = 0
     draws_used = 0

@@ -1,14 +1,17 @@
 """Command-line interface: outputs, manifests, and the rerun contract."""
 
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import jsonschema
+import numpy as np
 import pytest
 
-from obrs import FiniteDist, bimodal_target, single_gaussian
-from obrs.cli import _manifest_schema, main
+from obrs import FiniteDist, ObrsError, bimodal_target, gaussian_grid_2d, single_gaussian
+from obrs.cli import _grid2d_metrics, _manifest_schema, _write_manifest, _write_summary, main
 
 
 def run_cli(*args) -> int:
@@ -195,3 +198,105 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def read_strict_json(path):
+    """Parse JSON as a strict reader would: NaN and Infinity are refused."""
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
+def _finite_pair_files(tmp_path):
+    target_file = tmp_path / "ft.json"
+    model_file = tmp_path / "fm.json"
+    target_file.write_text(json.dumps(FiniteDist([0, 1], [0.5, 0.5]).to_json()), encoding="utf-8")
+    model_file.write_text(json.dumps(FiniteDist([0, 1], [0.8, 0.2]).to_json()), encoding="utf-8")
+    return ["--target", target_file, "--model", model_file, "--seed", 1, "--samples", 10]
+
+
+@pytest.mark.parametrize("rate", ["0", "nan", "-0.5"])
+@pytest.mark.parametrize("command", ["refine", "sample", "grid2d"])
+def test_rate_outside_unit_interval_exits_one(tmp_path, capsys, command, rate):
+    extra = {
+        "refine": ["--nodes", 256],
+        "sample": _finite_pair_files(tmp_path),
+        "grid2d": ["--seed", 1, "--repeats", 1, "--samples", 100, "--calibration", 500],
+    }[command]
+    out = tmp_path / "o"
+    assert run_cli(command, "--rate", rate, *extra, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "rate" in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["refine", "sample"])
+def test_infinite_budget_exits_one(tmp_path, capsys, command):
+    extra = ["--nodes", 256] if command == "refine" else _finite_pair_files(tmp_path)
+    out = tmp_path / "o"
+    assert run_cli(command, "--budget", "inf", *extra, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "budget" in err
+    assert not (out / "summary.json").exists()
+
+
+def test_grid2d_single_repeat_writes_standard_json(tmp_path):
+    out = tmp_path / "g1"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(
+            "grid2d", "--seed", 3, "--repeats", 1, "--samples", 200,
+            "--calibration", 1000, "--out", out,
+        ) == 0
+    summary = read_strict_json(out / "summary.json")
+    read_strict_json(out / "manifest.json")
+    for method in ("baseline", "obrs", "drs"):
+        assert summary["methods"][method]["precision_std"] is None
+
+
+def test_non_finite_output_values_raise_obrs_error(tmp_path):
+    with pytest.raises(ObrsError, match="summary.json"):
+        _write_summary(tmp_path / "summary.json", {"budget": math.inf})
+    assert not (tmp_path / "summary.json").exists()
+    with pytest.raises(ObrsError, match="manifest.json"):
+        _write_manifest(tmp_path, "refine", {"budget": math.nan}, None, [], 0.1)
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_rerun_of_infinite_budget_manifest_exits_one(tmp_path, capsys):
+    # json.load accepts Infinity, so a hand-edited manifest can carry one
+    out = tmp_path / "r"
+    assert run_cli("refine", "--budget", 2, "--nodes", 256, "--out", out) == 0
+    text = (out / "manifest.json").read_text(encoding="utf-8")
+    bad = tmp_path / "inf.json"
+    bad.write_text(text.replace('"budget": 2.0', '"budget": Infinity'), encoding="utf-8")
+    assert run_cli("rerun", bad, "--out", tmp_path / "again") == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_bad_manifest_message_is_best_match(tmp_path, capsys):
+    manifest = {"command": "nope", "config": [], "seed": "x"}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(manifest, _manifest_schema())
+    assert main(["rerun", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {expected.value}\n"
+
+
+def test_grid2d_metrics_match_norm_reference():
+    rng = np.random.default_rng(8)
+    modes = gaussian_grid_2d().means
+    quota = 3
+    for n in (1, 17, 2500):
+        samples = rng.normal(scale=1.5, size=(n, 2))
+        d = np.linalg.norm(samples[:, None, :] - modes[None, :, :], axis=2)
+        nearest = np.argmin(d, axis=1)
+        # a radius on a sample's exact distance: one ulp more flips its verdict
+        radius = d[0, nearest[0]]
+        close = d[np.arange(n), nearest] <= radius
+        counts = np.bincount(nearest[close], minlength=len(modes))
+        expected = (float(np.mean(close)), float(np.mean(counts >= quota)))
+        assert _grid2d_metrics(samples, modes, radius, quota) == expected

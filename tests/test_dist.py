@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from obrs import (
@@ -100,6 +102,74 @@ def test_mixture_2d_density():
     pts = np.array([[1.0, -1.0], [0.0, 0.0], [2.0, 1.0]])
     manual = stats.norm.pdf(pts[:, 0], 1, 0.5) * stats.norm.pdf(pts[:, 1], -1, 2.0)
     np.testing.assert_allclose(m.density(pts), manual, rtol=1e-12)
+
+
+def test_mixture_2d_multi_component_density():
+    weights = [0.2, 0.5, 0.3]
+    means = [[1.0, -1.0], [-2.0, 0.5], [0.0, 3.0]]
+    stds = [[0.5, 2.0], [1.0, 0.25], [1.5, 1.5]]
+    m = GaussianMixture(weights, means, stds)
+    pts = np.random.default_rng(4).normal(scale=2.0, size=(50, 2))
+    manual = sum(
+        w * stats.norm.pdf(pts[:, 0], mu[0], sd[0]) * stats.norm.pdf(pts[:, 1], mu[1], sd[1])
+        for w, mu, sd in zip(weights, means, stds)
+    )
+    np.testing.assert_allclose(m.density(pts), manual, rtol=1e-12)
+
+
+def _broadcast_log_density(m, x):
+    """The (n, k, dim) broadcast formula that ``log_density`` must match bit for bit."""
+    pts = m._points(x)
+    log_w = np.log(m.weights, out=np.full_like(m.weights, -np.inf), where=m.weights > 0)
+    log_norm = -np.sum(np.log(m.stds), axis=1) - 0.5 * m.dim * math.log(2 * math.pi)
+    z = (pts[:, None, :] - m.means[None, :, :]) / m.stds[None, :, :]
+    comp = log_w + log_norm - 0.5 * np.sum(z * z, axis=2)
+    if comp.shape[1] == 1:
+        return comp[:, 0]
+    mx = np.max(comp, axis=1)
+    return mx + np.log(np.sum(np.exp(comp - mx[:, None]), axis=1))
+
+
+@st.composite
+def _mixture_and_points(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    k = draw(st.integers(1, 25))
+    raw = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=k, max_size=k))
+    if sum(raw) == 0:
+        raw[0] = 1.0
+    weights = np.asarray(raw) / sum(raw)
+    coord = st.floats(-10.0, 10.0, allow_nan=False)
+    means = np.array(draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                                   min_size=k, max_size=k)))
+    stds = np.array(draw(st.lists(st.lists(st.floats(0.01, 5.0), min_size=dim, max_size=dim),
+                                  min_size=k, max_size=k)))
+    m = GaussianMixture(weights, means, stds)
+    # points near the modes and 50 sigma out along every axis
+    j = draw(st.integers(0, k - 1))
+    far = means[j] + 50.0 * stds[j] * draw(st.sampled_from([-1.0, 1.0]))
+    n = draw(st.integers(1, 40))
+    batch = np.array(draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                                   min_size=n, max_size=n)))
+    batch = np.vstack([batch, far])
+    if dim == 1:
+        inputs = [float(far[0]), batch[:, 0]]
+    else:
+        inputs = [tuple(float(v) for v in far), far, batch]
+    return m, inputs
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_mixture_and_points())
+def test_log_density_is_bit_identical_to_broadcast_formula(case):
+    m, inputs = case
+    for x in inputs:
+        got = m.log_density(x)
+        ref = _broadcast_log_density(m, x)
+        if np.ndim(x) == 0 or isinstance(x, tuple) or (m.dim == 2 and np.ndim(x) == 1):
+            assert isinstance(got, float)
+            assert np.array_equal(np.array([got]), ref)
+        else:
+            assert np.array_equal(got, ref)
 
 
 def test_log_density_far_tail_stays_finite():

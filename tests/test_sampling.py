@@ -1,6 +1,8 @@
 """Acceptance functions, the scale solver, and rejection sampling."""
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -310,3 +312,46 @@ def test_acceptance_from_target_orphan_atom():
     candidate = FiniteDist([0, 1], [0.5, 0.5])
     with pytest.raises(OutOfBallError):
         acceptance_from_target(candidate, model, 4.0)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Turn a hang into a test failure instead of a stuck suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "model, table",
+    [
+        (FiniteDist([0, 1], [0.5, 0.5]), {0: 0.0, 1: 0.0}),
+        # the only positive acceptance sits on an atom the model never draws
+        (FiniteDist([0, 1, 2], [0.5, 0.5, 0.0]), {0: 0.0, 1: 0.0, 2: 1.0}),
+    ],
+)
+def test_rejection_sample_zero_rate_raises(model, table):
+    spec = AcceptanceSpec.from_table(table)
+    rng = np.random.default_rng(11)
+    state = rng.bit_generator.state
+    with _time_limit(5.0), pytest.raises(DomainError, match="rate"):
+        rejection_sample(model, spec, 10, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_rejection_sample_positive_rate_table_on_zero_mass_atom():
+    # a table may leave out atoms the model never draws
+    model = FiniteDist([0, 1, 2], [0.5, 0.5, 0.0])
+    spec = AcceptanceSpec.from_table({0: 0.25, 1: 1.0})
+    with _time_limit(5.0):
+        res = rejection_sample(model, spec, 200, np.random.default_rng(12))
+    assert res.accepted == 200
+    assert set(res.samples) <= {0, 1}
