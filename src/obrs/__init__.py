@@ -70,17 +70,14 @@ from .prcurve import (
 )
 from .sampling import (
     AcceptanceSpec,
-    GammaSolution,
     RefinedFinite,
     SampleResult,
     ScaleSolution,
     acceptance_from_target,
-    drs_gamma_for_rate,
-    estimate_sup_ratio,
+    calibrate,
     refine,
     refined_finite,
     rejection_sample,
-    solve_accept_scale,
 )
 
 __version__ = "0.1.0"

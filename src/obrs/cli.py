@@ -63,7 +63,9 @@ from .oracle import (
 from .prcurve import default_lambda_grid, pr_curve, predict_refined_curve
 from .sampling import (
     AcceptanceSpec,
+    _log_accept,
     _solve_log_shift,
+    calibrate,
     refine,
     rejection_sample,
 )
@@ -199,21 +201,13 @@ def run_refine(cfg: dict, out: Path) -> list[str]:
     target = bimodal_target(cfg["target_mu"], cfg["target_sigma"])
     model = single_gaussian(cfg["model_mu"], cfg["model_sigma"])
     x, w = trapezoid_grid([target, model], n_nodes=cfg["nodes"], span=cfg["span"])
-    spec, sol = refine(target, model, budget, mode="grid", grid=x, grid_weights=w)
     lp = np.asarray(target.log_density(x), dtype=float)
     lq = np.asarray(model.log_density(x), dtype=float)
-    lr = lp - lq
-    log_sup = spec.log_sup if spec.kind != "unit" else float(np.max(lr))
-    a_unbudgeted = np.exp(np.minimum(lr - log_sup, 0.0))
-    if sol.status == "budgeted":
-        a_budgeted = np.exp(np.minimum(lr - log_sup + spec.log_scale, 0.0))
-    elif sol.status == "unbudgeted":
-        a_budgeted = a_unbudgeted.copy()
-    else:
-        a_budgeted = np.ones_like(lr)
-    qw = w * np.exp(lq)
-    z = float(np.dot(qw, a_budgeted))
-    k_eff = 1.0 / z
+    sol = calibrate(lp - lq, w * np.exp(lq), budget)
+    rel = lp - lq - sol.log_sup
+    a_unbudgeted = np.exp(_log_accept(rel, 0.0))
+    a_budgeted = np.exp(_log_accept(rel, sol.log_scale))
+    k_eff = 1.0 / sol.rate
     refined = np.exp(lq) * a_budgeted * k_eff
     _write_csv(
         out / "densities.csv",
@@ -226,11 +220,11 @@ def run_refine(cfg: dict, out: Path) -> list[str]:
         ["x", "accept_unbudgeted", "accept_budgeted"],
         [[float(xi), float(au), float(ab)] for xi, au, ab in zip(x, a_unbudgeted, a_budgeted)],
     )
-    knee = math.exp((spec.log_scale if sol.status == "budgeted" else 0.0) - log_sup)
+    # thresholds around the clipping knee; at budget 1 around the unbudgeted one
+    knee = math.exp((0.0 if sol.status == "unit" else sol.log_scale) - sol.log_sup)
     lams = default_lambda_grid(knee, n=cfg["lambda_steps"])
     base = pr_curve(target, model, lams, mode="quadrature", n_nodes=cfg["nodes"], span=cfg["span"])
-    scale = math.exp(spec.log_scale) if sol.status == "budgeted" else 1.0
-    pred = predict_refined_curve(base, k_eff, scale, math.exp(log_sup))
+    pred = predict_refined_curve(base, k_eff, sol.scale, sol.sup_ratio)
     _write_csv(
         out / "prcurve.csv",
         ["lambda_base", "alpha_base", "beta_base", "lambda_refined", "alpha_refined", "beta_refined"],
@@ -241,11 +235,11 @@ def run_refine(cfg: dict, out: Path) -> list[str]:
     _write_summary(out / "summary.json", {
         "budget": budget,
         "status": sol.status,
-        "sup_ratio": math.exp(log_sup),
-        "scale": scale,
-        "measured_rate": z,
+        "sup_ratio": sol.sup_ratio,
+        # budget 1 accepts everything: the slack is infinite, recorded as null
+        "scale": sol.scale if sol.status != "unit" else None,
+        "measured_rate": sol.rate,
         "effective_budget": k_eff,
-        "solver_iterations": sol.iterations,
     })
     return ["densities.csv", "acceptance.csv", "prcurve.csv", "summary.json"]
 
@@ -397,7 +391,6 @@ def _grid2d_metrics(
 
 def run_grid2d(cfg: dict, out: Path) -> list[str]:
     rate = cfg["rate"]
-    budget = _budget_of_rate(rate)
     target = gaussian_grid_2d(cfg["sigma"], cfg["spacing"])
     jitter_rng = np.random.default_rng([cfg["seed"], 0xD1])
     weights = jitter_rng.dirichlet(np.full(25, cfg["jitter"] / 25.0))
@@ -409,15 +402,13 @@ def run_grid2d(cfg: dict, out: Path) -> list[str]:
     lr_cal = np.asarray(ratio.log(cal), dtype=float)
     log_sup = float(np.max(lr_cal))
     cal_w = np.full(len(lr_cal), 1.0 / len(lr_cal))
-    log_c, cal_rate, _, _ = _solve_log_shift(lr_cal - log_sup, cal_w, rate, cfg["eps"])
-    # rate-matched drs shares the calibration: gamma = -log(scale)
+    # matched by rate, not budget, so the shift may be negative; the
+    # rate-matched drs shares the calibration: its shift -gamma is log(scale)
+    log_c, cal_rate = _solve_log_shift(lr_cal - log_sup, cal_w, rate)
     specs = {
         "baseline": AcceptanceSpec.unit(),
-        "obrs": AcceptanceSpec(
-            kind="budgeted", ratio=ratio, log_sup=log_sup, log_scale=log_c,
-            budget=budget,
-        ),
-        "drs": AcceptanceSpec(kind="drs", ratio=ratio, log_sup=log_sup, gamma=-log_c),
+        "obrs": AcceptanceSpec.clipped(ratio, log_sup, log_c, budget=1.0 / rate),
+        "drs": AcceptanceSpec.clipped(ratio, log_sup, log_c),
     }
 
     n = cfg["samples"]
@@ -483,7 +474,7 @@ def run_sample(cfg: dict, out: Path) -> list[str]:
     with open(cfg["model"], encoding="utf-8") as fh:
         model = dist_from_json(json.load(fh))
     rng = np.random.default_rng([cfg["seed"], 2])
-    budget = cfg["budget"] if cfg["budget"] is not None else _budget_of_rate(cfg["rate"])
+    budget = cfg["budget"]
     from .dist import FiniteDist
 
     if isinstance(model, FiniteDist):
@@ -544,6 +535,7 @@ def run_rerun(manifest_path: str, out_dir: str) -> None:
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     _validate_manifest(manifest)
+    _check_config(manifest["command"], manifest["config"])
     _execute(manifest["command"], manifest["config"], out_dir)
 
 
@@ -611,7 +603,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spacing", type=float, default=1.0)
     p.add_argument("--jitter", type=float, default=200.0)
     p.add_argument("--calibration", type=int, default=10000)
-    p.add_argument("--eps", type=float, default=1e-9)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("sample", help="rejection-sample a JSON-specified pair")
@@ -639,20 +630,32 @@ def _budget_of_rate(rate: float) -> float:
     return 1.0 / rate
 
 
+# counts a run needs at least one of
+_COUNTS = {"grid2d": ("samples", "repeats", "calibration"), "sample": ("samples", "calibration")}
+
+
+def _check_config(command: str, cfg: dict) -> None:
+    """Reject a configuration no run can use, before any output is written."""
+    if "rate" in cfg:
+        _budget_of_rate(cfg["rate"])
+    if "budget" in cfg and not 1 <= cfg["budget"] < math.inf:  # also rejects NaN
+        # the library reads budget=inf as unbudgeted, but a run's JSON
+        # outputs cannot record a non-finite value
+        raise DomainError(f"budget must be a finite number >= 1, got {cfg['budget']!r}")
+    for key in _COUNTS.get(command, ()):
+        if not cfg[key] >= 1:
+            raise DomainError(f"{key} must be at least 1, got {cfg[key]!r}")
+
+
 def _config_from_args(args: argparse.Namespace) -> dict:
     cfg = {k: v for k, v in vars(args).items() if k not in ("command", "out", "manifest")}
     if args.command in ("refine", "sample"):
-        if cfg.get("budget") is None and cfg.get("rate") is None:
-            cfg["budget"] = 2.0
-        if cfg.get("budget") is None:
-            cfg["budget"] = _budget_of_rate(cfg["rate"])
-        elif not math.isfinite(cfg["budget"]):
-            # the library reads budget=inf as unbudgeted, but a run's JSON
-            # outputs cannot record a non-finite value
-            raise DomainError(f"budget must be finite, got {cfg['budget']!r}")
-        cfg.pop("rate", None)
+        rate = cfg.pop("rate")
+        if cfg["budget"] is None:
+            cfg["budget"] = 2.0 if rate is None else _budget_of_rate(rate)
     if args.command in ("landscape", "fit"):
         cfg["budgets"] = [float(b) for b in str(cfg["budgets"]).split(",") if b]
+    _check_config(args.command, cfg)
     return cfg
 
 

@@ -42,14 +42,7 @@ class EstimationError(ObrsError):
 
 
 class ConvergenceError(ObrsError):
-    """An iterative solver exhausted its iteration budget.
-
-    Carries the final bracket for diagnosis.
-    """
-
-    def __init__(self, message: str, bracket: tuple[float, float] | None = None):
-        super().__init__(message)
-        self.bracket = bracket
+    """A calibration missed its target: the rate is out of reach or off 1/K."""
 
 
 class BudgetExhaustedError(ObrsError):

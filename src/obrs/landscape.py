@@ -33,12 +33,13 @@ from .dist import (
     GaussianMixture,
     bimodal_target,
     single_gaussian,
+    ratio_of,
     spacing_mismatch_pair,
     trapezoid_grid,
 )
 from .errors import DomainError
 from .fdiv import Generator, _fdiv_terms, divergence_finite
-from .sampling import _solve_log_shift, refine, refined_finite
+from .sampling import _log_accept, calibrate, refine, refined_finite
 
 THETA_GRID_DEFAULT = np.linspace(0.1, 2.5, 241)
 FIT_MU_GRID_DEFAULT = np.linspace(-3.0, 3.0, 121)
@@ -54,7 +55,6 @@ def budgeted_loss(
     mode: str = "exact",
     n_nodes: int = 4096,
     span: float = 8.0,
-    eps: float | None = None,
 ) -> float:
     """D_f of the target from the optimally refined model at the given budget.
 
@@ -73,55 +73,38 @@ def budgeted_loss(
     if mode == "exact":
         if not isinstance(target, FiniteDist) or not isinstance(model, FiniteDist):
             raise DomainError("exact mode needs two finite distributions")
-        spec, sol = refine(target, model, budget, mode="exact", eps=eps)
-        p, q = target.probs, model.probs
-        a = np.asarray(spec.accept_prob(model.atoms), dtype=float)
-        mass = q * a
-        z = math.fsum(mass.tolist())
-        if z <= 0:
-            raise DomainError("acceptance kills all model mass")
-        tw = mass / z
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lp = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), -np.inf)
-            ltw = np.where(tw > 0, np.log(np.where(tw > 0, tw, 1.0)), -np.inf)
-            log_u = lp - ltw
-        terms = _fdiv_terms(gen, p, tw, log_u)
-        return float(math.fsum(np.asarray(terms, dtype=float).tolist()))
-    if mode != "quadrature":
-        raise DomainError(f"unknown loss mode {mode!r}")
-    if not isinstance(target, GaussianMixture) or not isinstance(model, GaussianMixture):
-        raise DomainError("quadrature mode needs two mixtures")
-    if not budget >= 1:  # also rejects NaN
-        raise DomainError("budget must be at least 1 proposal per kept sample")
-    # inline the slack solve on log-densities computed once: this loop body
-    # runs tens of thousands of times across a fit lattice
-    x, w = trapezoid_grid([target, model], n_nodes=n_nodes, span=span)
-    lp = np.asarray(target.log_density(x), dtype=float)
-    lq = np.asarray(model.log_density(x), dtype=float)
-    lr = lp - lq
-    qw = w * np.exp(lq)
-    live = qw > 0
-    if not np.any(live):
-        raise DomainError("model carries no quadrature mass")
-    log_sup = float(np.max(lr[live]))
-    if budget == 1.0:
-        log_a = np.zeros_like(lr)
-    elif math.log(budget) >= log_sup:
-        log_a = np.minimum(lr - log_sup, 0.0)
+        pw, qw = target.probs, model.probs
+        lr = np.asarray(ratio_of(target, model).log(model.atoms), dtype=float)
+        with np.errstate(divide="ignore"):
+            lp, lq = np.log(pw), np.log(qw)
+        total = _fsum
+    elif mode == "quadrature":
+        if not isinstance(target, GaussianMixture) or not isinstance(model, GaussianMixture):
+            raise DomainError("quadrature mode needs two mixtures")
+        # log-densities computed once feed both the calibration and the
+        # integrand: this body runs tens of thousands of times across a fit lattice
+        x, w = trapezoid_grid([target, model], n_nodes=n_nodes, span=span)
+        lp = np.asarray(target.log_density(x), dtype=float)
+        lq = np.asarray(model.log_density(x), dtype=float)
+        lr = lp - lq
+        pw, qw = w * np.exp(lp), w * np.exp(lq)
+        total = np.sum
     else:
-        log_c, _, _, _ = _solve_log_shift(
-            lr - log_sup, qw, 1.0 / budget, 1e-6 if eps is None else eps
-        )
-        log_a = np.minimum(lr - log_sup + log_c, 0.0)
+        raise DomainError(f"unknown loss mode {mode!r}")
+    sol = calibrate(lr, qw, budget)
+    log_a = _log_accept(lr - sol.log_sup, sol.log_scale)
     qa = qw * np.exp(log_a)
-    z = float(np.sum(qa))
+    z = float(total(qa))
     if z <= 0:
         raise DomainError("acceptance kills all model mass")
-    tw = qa / z
-    pw = w * np.exp(lp)
-    log_u = lp - (lq + log_a - math.log(z))
-    terms = _fdiv_terms(gen, pw, tw, log_u)
-    return float(np.sum(terms))
+    # log u = log(p / refined) stays finite where the refined mass underflows
+    with np.errstate(invalid="ignore"):
+        log_u = lp - (lq + log_a - math.log(z))
+    return float(total(_fdiv_terms(gen, pw, qa / z, log_u)))
+
+
+def _fsum(values) -> float:
+    return math.fsum(np.asarray(values, dtype=float).tolist())
 
 
 def primal_identity_check(
@@ -175,7 +158,6 @@ def landscape_1d(
     spacing_target: float = 1.0,
     n_nodes: int = 4096,
     span: float = 8.0,
-    eps: float = 1e-12,
 ) -> LossSurface:
     """Sweep the mode-spacing family: loss_K(model(theta)) for each budget.
 
@@ -191,7 +173,7 @@ def landscape_1d(
         for j, budget in enumerate(budgets):
             losses[i, j] = budgeted_loss(
                 gen, target, model, budget, mode="quadrature",
-                n_nodes=n_nodes, span=span, eps=eps,
+                n_nodes=n_nodes, span=span,
             )
     return LossSurface(
         gen_label=gen.label,
@@ -229,7 +211,6 @@ def fit_grid(
     sigmas: np.ndarray | None = None,
     n_nodes: int = 4096,
     span: float = 8.0,
-    eps: float = 1e-12,
 ) -> FitResult:
     """Exhaustive (mu, sigma) lattice search for the best single-Gaussian
     proposal at a given budget. Ties resolve to the lowest flat index
@@ -244,7 +225,7 @@ def fit_grid(
             model = single_gaussian(float(mu), float(sigma))
             losses[i, j] = budgeted_loss(
                 gen, target, model, budget, mode="quadrature",
-                n_nodes=n_nodes, span=span, eps=eps,
+                n_nodes=n_nodes, span=span,
             )
     flat = int(np.argmin(losses))
     i, j = np.unravel_index(flat, losses.shape)

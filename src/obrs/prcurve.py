@@ -23,7 +23,7 @@ import numpy as np
 
 from .dist import Distribution, FiniteDist, GaussianMixture, ratio_of, trapezoid_grid
 from .errors import DomainError, SupportMismatchError
-from .sampling import refine, refined_finite
+from .sampling import ScaleSolution, _log_accept, calibrate
 
 
 @dataclass(frozen=True)
@@ -263,35 +263,26 @@ def check_refined_prediction(
     pairs both run on the same quadrature grid.
     """
     if mode == "exact":
-        spec, sol = refine(target, model, budget, mode="exact")
-        ref = refined_finite(model, spec)
-        k_eff = 1.0 / ref.rate
-        base = pr_curve(target, model, _lams_or_default(lams, spec, sol), mode="exact")
-        direct = pr_curve(target, ref.dist, base.lams * k_eff, mode="exact")
+        if not (isinstance(target, FiniteDist) and isinstance(model, FiniteDist)):
+            raise DomainError("exact mode needs two finite distributions")
+        lr = np.asarray(ratio_of(target, model).log(model.atoms), dtype=float)
+        pw, qw = target.probs, model.probs
     elif mode == "quadrature":
         x, w = trapezoid_grid([target, model], n_nodes=n_nodes, span=span)
-        spec, sol = refine(
-            target, model, budget, mode="grid", grid=x, grid_weights=w
-        )
-        a = np.asarray(spec.accept_prob(x), dtype=float)
-        pw = w * np.exp(np.asarray(target.log_density(x), dtype=float))
-        qw = w * np.exp(np.asarray(model.log_density(x), dtype=float))
-        z = math.fsum((qw * a).tolist())
-        if z <= 0:
-            raise DomainError("acceptance function kills all model mass")
-        k_eff = 1.0 / z
-        tw = qw * a * k_eff
-        base = _pr_scan(pw, qw, _lams_or_default(lams, spec, sol))
-        direct = _pr_scan(pw, tw, base.lams * k_eff)
+        lp = np.asarray(target.log_density(x), dtype=float)
+        lq = np.asarray(model.log_density(x), dtype=float)
+        pw, qw, lr = w * np.exp(lp), w * np.exp(lq), lp - lq
     else:
         raise DomainError(f"unknown mode {mode!r}")
-    if sol.status == "unit":
-        scale, sup = math.inf, 1.0  # no clipping anywhere: the knee is at +inf
-    elif sol.status == "unbudgeted":
-        scale, sup = 1.0, spec.sup_ratio
-    else:
-        scale, sup = spec.scale, spec.sup_ratio
-    pred = predict_refined_curve(base, k_eff, scale, sup)
+    sol = calibrate(lr, qw, budget)
+    a = np.exp(_log_accept(lr - sol.log_sup, sol.log_scale))
+    z = math.fsum((qw * a).tolist())
+    if z <= 0:
+        raise DomainError("acceptance function kills all model mass")
+    k_eff = 1.0 / z
+    base = _pr_scan(pw, qw, _lams_or_default(lams, sol))
+    direct = _pr_scan(pw, qw * a * k_eff, base.lams * k_eff)
+    pred = predict_refined_curve(base, k_eff, sol.scale, sol.sup_ratio)
     identity = np.abs(direct.alphas - direct.lams * direct.betas)
     return RefinedPredictionReport(
         max_alpha_err=float(np.max(np.abs(direct.alphas - pred.alphas))),
@@ -300,18 +291,18 @@ def check_refined_prediction(
         n_thresholds=len(base),
         budget=budget,
         effective_budget=k_eff,
-        scale=scale,
-        sup_ratio=sup,
+        scale=sol.scale,
+        sup_ratio=sol.sup_ratio,
         status=sol.status,
     )
 
 
-def _lams_or_default(lams: np.ndarray | None, spec, sol) -> np.ndarray:
+def _lams_or_default(lams: np.ndarray | None, sol: ScaleSolution) -> np.ndarray:
     """Default to a log grid straddling the clipping knee sup_ratio/scale."""
     if lams is not None:
         return np.asarray(lams, dtype=float)
     if sol.status == "unit":
-        center = 1.0
+        center = 1.0  # no clipping anywhere: the knee is at +inf
     else:
-        center = math.exp(spec.log_sup - spec.log_scale)
+        center = math.exp(sol.log_sup - sol.log_scale)
     return default_lambda_grid(center, n=41)

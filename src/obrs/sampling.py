@@ -1,22 +1,25 @@
 """Budgeted rejection sampling with exact likelihood ratios.
 
-The acceptance functions here all have the clipped-ratio shape
+The calibrated acceptance has the clipped-ratio shape
 
-    a(x) = min(s * r(x) / M, 1),        r = target/model,  M >= sup r,
+    a(x) = min(c * r(x) / M, 1),        r = target/model,  M = sup r,
 
-differing only in how the slack factor s is chosen:
+with the slack c chosen by ``calibrate`` for a sampling budget K:
 
-- ``unbudgeted``: s = 1, the classical perfect sampler (rate 1/M);
-- ``budgeted``: s solves E_model[a] = 1/K for a sampling budget K, i.e. one
-  keeps on average one of every K proposals and the refined distribution is
-  the best approximation to the target reachable at that cost;
-- ``drs``: s = exp(-gamma), the shifted-sigmoid-free variant of
-  discriminator rejection sampling with gamma tuned to hit a target rate.
+- ``unit`` (K = 1): accept everything, c = inf;
+- ``unbudgeted`` (K >= M): c = 1, the classical perfect sampler (rate 1/M);
+- ``budgeted``: c solves E_model[a] = 1/K, i.e. one keeps on average one of
+  every K proposals and the refined distribution is the best approximation
+  to the target reachable at that cost.
 
-The slack equation is solved by bisection on log s, so proposal families
-whose ratios overflow double precision (log-ratios of several hundred) are
-handled without special cases. ``unit`` (accept everything) and ``table``
-(explicit per-atom acceptance on a finite support) round out the kinds.
+On log-ratios sorted once, the rate is piecewise linear in c, so the slack
+equation is solved exactly by a sort-and-scan (the water-filling step of
+simplex projection), in log space: proposal families whose ratios overflow
+double precision (log-ratios of several hundred) need no special cases.
+Acceptance functions are ``unit``, ``clipped`` (the shape above, with
+log_scale = log c; discriminator rejection sampling is the same kind with
+log_scale = -gamma) and ``table`` (explicit per-atom acceptance on a finite
+support).
 """
 
 from __future__ import annotations
@@ -36,70 +39,36 @@ from .errors import (
     OutOfBallError,
 )
 
-_LOG_BRACKET_LO = math.log(1e-10)
-_LOG_BRACKET_HI = math.log(1e10)
-_LOG_BRACKET_CAP = math.log(1e300)
-_MAX_ITER = 200
-
-
-# ---------------------------------------------------------------------------
-# Sup-ratio estimation
-# ---------------------------------------------------------------------------
-
-
-def estimate_sup_ratio(
-    ratio: RatioFn,
-    model: Distribution,
-    mode: str = "exact",
-    n: int = 10000,
-    rng: np.random.Generator | None = None,
-    grid: np.ndarray | None = None,
-) -> float:
-    """Upper envelope M for the likelihood ratio over the model's support.
-
-    ``exact`` maximizes over a finite model's atoms. ``sample`` maximizes
-    over n model draws (a lower bound that tightens with n), ``grid`` over
-    explicit points. Returns inf when the log-ratio exceeds ~709; callers
-    that need such regimes should stay in log space.
-    """
-    if mode == "exact":
-        if not isinstance(model, FiniteDist):
-            raise DomainError("exact sup-ratio needs a finite model; use sample or grid")
-        lr = np.asarray(ratio.log(model.atoms), dtype=float)
-        return float(np.exp(np.max(lr)))
-    if mode == "sample":
-        if rng is None:
-            raise DomainError("sample mode needs an rng")
-        xs = model.sample(rng, n)
-        lr = np.asarray(ratio.log(xs), dtype=float)
-        return float(np.exp(np.max(lr)))
-    if mode == "grid":
-        if grid is None:
-            raise DomainError("grid mode needs grid points")
-        lr = np.asarray(ratio.log(grid), dtype=float)
-        return float(np.exp(np.max(lr)))
-    raise DomainError(f"unknown sup-ratio mode {mode!r}")
-
 
 # ---------------------------------------------------------------------------
 # Acceptance functions
 # ---------------------------------------------------------------------------
 
 
+def _log_accept(log_r, log_shift: float):
+    """log a = min(log_r + log_shift, 0) for log-ratios relative to the envelope.
+
+    log_shift = +inf is the unit acceptance, a = 1 everywhere: fmin drops the
+    NaN of -inf + inf where r = 0. At a finite shift, r = 0 gives a = 0.
+    """
+    with np.errstate(invalid="ignore"):
+        return np.fmin(log_r + log_shift, 0.0)
+
+
 @dataclass
 class AcceptanceSpec:
     """A concrete acceptance function a(x) in [0, 1].
 
-    kind is one of ``unit``, ``unbudgeted``, ``budgeted``, ``drs``,
-    ``table``. Ratio-based kinds carry the ratio evaluator plus log-space
-    parameters; ``table`` carries explicit per-atom probabilities.
+    kind is one of ``unit``, ``clipped``, ``table``. ``clipped`` carries the
+    ratio evaluator plus the log envelope and log slack of
+    min(exp(log_scale) * r / exp(log_sup), 1); ``table`` carries explicit
+    per-atom probabilities.
     """
 
     kind: str
     ratio: RatioFn | None = None
     log_sup: float = 0.0
     log_scale: float = 0.0
-    gamma: float = 0.0
     budget: float | None = None
     table: dict | None = None
 
@@ -110,24 +79,10 @@ class AcceptanceSpec:
         return cls(kind="unit", budget=1.0)
 
     @classmethod
-    def unbudgeted(cls, ratio: RatioFn, sup_ratio: float) -> "AcceptanceSpec":
-        return cls(kind="unbudgeted", ratio=ratio, log_sup=_log_of(sup_ratio))
-
-    @classmethod
-    def budgeted(
-        cls, ratio: RatioFn, sup_ratio: float, scale: float, budget: float
+    def clipped(
+        cls, ratio: RatioFn, log_sup: float, log_scale: float = 0.0, budget: float | None = None
     ) -> "AcceptanceSpec":
-        return cls(
-            kind="budgeted",
-            ratio=ratio,
-            log_sup=_log_of(sup_ratio),
-            log_scale=_log_of(scale),
-            budget=budget,
-        )
-
-    @classmethod
-    def drs(cls, ratio: RatioFn, sup_ratio: float, gamma: float) -> "AcceptanceSpec":
-        return cls(kind="drs", ratio=ratio, log_sup=_log_of(sup_ratio), gamma=gamma)
+        return cls(kind="clipped", ratio=ratio, log_sup=log_sup, log_scale=log_scale, budget=budget)
 
     @classmethod
     def from_table(cls, table: dict, budget: float | None = None) -> "AcceptanceSpec":
@@ -146,13 +101,6 @@ class AcceptanceSpec:
     def sup_ratio(self) -> float:
         return _exp_or_inf(self.log_sup)
 
-    def _shift(self) -> float:
-        if self.kind == "budgeted":
-            return self.log_scale
-        if self.kind == "drs":
-            return -self.gamma
-        return 0.0
-
     def accept_prob(self, x) -> np.ndarray | float:
         """Acceptance probability at x (vectorized over proposal batches).
 
@@ -170,16 +118,8 @@ class AcceptanceSpec:
             return np.array([self.table[a] for a in x], dtype=float)
         lr = self.ratio.log([x] if scalar else x)
         lr = np.atleast_1d(np.asarray(lr, dtype=float))
-        g = lr + (self._shift() - self.log_sup)
-        with np.errstate(invalid="ignore"):
-            a = np.where(np.isneginf(lr), 0.0, np.exp(np.minimum(g, 0.0)))
+        a = np.exp(_log_accept(lr - self.log_sup, self.log_scale))
         return float(a[0]) if scalar else a
-
-
-def _log_of(value: float) -> float:
-    if value <= 0:
-        raise DomainError("scale and sup-ratio must be positive")
-    return math.log(value)
 
 
 def _exp_or_inf(x: float) -> float:
@@ -188,95 +128,112 @@ def _exp_or_inf(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Core slack solver (shared by budgeted and drs tuning)
+# Calibration: the exact slack solve and the budget policy
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ScaleSolution:
-    """Solution of E_model[min(scale * r / M, 1)] = 1/budget."""
+    """The calibrated acceptance min(scale * r / M, 1) and its rate E_model[a].
 
-    scale: float
+    log_sup = log M is the envelope over the model view; log_scale = log c
+    is +inf for ``unit``, 0 for ``unbudgeted`` and solved for ``budgeted``.
+    """
+
     log_scale: float
+    log_sup: float
     rate: float
     budget: float
-    iterations: int
     status: str  # "unit" | "unbudgeted" | "budgeted"
-    bracket: tuple[float, float]  # final log-space bracket
 
+    @property
+    def scale(self) -> float:
+        return _exp_or_inf(self.log_scale)
 
-@dataclass(frozen=True)
-class GammaSolution:
-    """Shift gamma with E_model[min(exp(-gamma) * r / M, 1)] = target rate."""
-
-    gamma: float
-    rate: float
-    target_rate: float
-    iterations: int
-    status: str
+    @property
+    def sup_ratio(self) -> float:
+        return _exp_or_inf(self.log_sup)
 
 
 def _acceptance_rate(log_r: np.ndarray, weights: np.ndarray, log_shift: float) -> float:
-    g = log_r + log_shift
-    with np.errstate(invalid="ignore"):
-        a = np.where(np.isneginf(log_r), 0.0, np.exp(np.minimum(g, 0.0)))
-    return float(np.dot(weights, a))
+    return float(np.dot(weights, np.exp(_log_accept(log_r, log_shift))))
 
 
 def _solve_log_shift(
-    log_r: np.ndarray,
-    weights: np.ndarray,
-    target_rate: float,
-    eps: float,
-    max_iter: int = _MAX_ITER,
-) -> tuple[float, float, int, tuple[float, float]]:
-    """Bisect log-shift so the weighted clipped-exp acceptance hits target_rate.
+    log_r: np.ndarray, weights: np.ndarray, target_rate: float
+) -> tuple[float, float]:
+    """Exact log-shift s with sum_i w_i min(exp(log_r_i + s), 1) = target_rate.
 
-    log_r here is already relative to the envelope (log r - log M), so the
-    acceptance is exp(min(log_r + shift, 0)). The initial bracket covers
-    shifts in [1e-10, 1e10]; if the rate is still short at the top, the
-    bracket expands (decades in log space) up to the saturation shift — the
-    point where every positive-ratio point is fully accepted — since
-    proposal pairs with astronomically peaked ratios genuinely need slacks
-    far beyond 1e10.
+    log_r is relative to the envelope. Sort the live points (w > 0, r > 0)
+    by decreasing log-ratio l_1 >= l_2 >= ...; for s between -l_k and
+    -l_(k+1) the first k are saturated and the rate is W_k + e^s T_(k+1),
+    W the prefix sums of w and T the suffix sums of w e^l (kept in log
+    space). The rates at the knots s = -l_k bracket the target in one
+    segment, where s has a closed form. Returns (s, the rate measured at s);
+    a target outside (0, live mass] raises ConvergenceError.
     """
-    finite = np.isfinite(log_r) & (weights > 0)
-    if np.any(finite):
-        saturation = -float(np.min(log_r[finite])) + 1.0
+    live = (weights > 0) & (log_r > -np.inf)
+    order = np.argsort(-log_r[live])
+    lr = log_r[live][order]
+    w = weights[live][order]
+    saturated = np.cumsum(w)
+    log_tail = np.logaddexp.accumulate((np.log(w) + lr)[::-1])[::-1]
+    # the rate at knot k, where point k is just saturated
+    knots = saturated - w + np.exp(log_tail - lr)
+    top = float(knots[-1]) if len(knots) else 0.0
+    if not 0 < target_rate <= top:
+        raise ConvergenceError(f"target rate {target_rate} outside the reachable (0, {top}]")
+    k = int(np.searchsorted(knots, target_rate))
+    # on the segment ending at knot k, points 0..k-1 are saturated; the
+    # closed form re-sums both sides pairwise, which the running sums are not
+    gap = target_rate - float(np.sum(w[:k]))
+    tail = float(np.sum(w[k:] * np.exp(lr[k:] - lr[k])))
+    log_shift = math.log(gap / tail) - float(lr[k]) if gap > 0 else -math.inf
+    log_shift = min(log_shift, -float(lr[k]))
+    if k:
+        log_shift = max(log_shift, -float(lr[k - 1]))
+    return log_shift, _acceptance_rate(log_r, weights, log_shift)
+
+
+def calibrate(log_r, weights, budget: float) -> ScaleSolution:
+    """Calibrate min(c * r / M, 1) to rate 1/budget on a weighted model view.
+
+    log_r are log-ratios log(target/model) at the view's points and weights
+    their model masses. The envelope M is the largest ratio among points of
+    positive weight. budget = 1 accepts everything (status ``unit``);
+    budget >= M needs no slack beyond the classical sampler (c = 1, status
+    ``unbudgeted``); otherwise c is solved exactly (status ``budgeted``).
+    The returned rate is E[a] measured at the solution. A budget below 1 or
+    NaN, negative or NaN weights, and NaN or +inf log-ratios at points of
+    positive weight raise DomainError; a view with no target mass raises
+    EstimationError.
+    """
+    if not budget >= 1:  # also rejects NaN
+        raise DomainError("budget must be at least 1 proposal per kept sample")
+    log_r = np.asarray(log_r, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if log_r.shape != weights.shape or not np.all(weights >= 0):
+        raise DomainError("weights must be nonnegative, one per log-ratio")
+    live = weights > 0
+    if not np.all(live):
+        log_r, weights = log_r[live], weights[live]
+    if not len(log_r):
+        raise EstimationError("model view carries no mass")
+    log_sup = float(np.max(log_r))
+    if math.isnan(log_sup) or log_sup == math.inf:
+        raise DomainError("log-ratios must be below +inf and not NaN where the model has mass")
+    if log_sup == -math.inf:
+        raise EstimationError("target has no mass on the model view")
+    rel = log_r - log_sup
+    if budget == 1.0:
+        status, log_scale = "unit", math.inf
+    elif math.log(budget) >= log_sup:
+        status, log_scale = "unbudgeted", 0.0
     else:
-        saturation = _LOG_BRACKET_CAP
-    cap = max(_LOG_BRACKET_CAP, saturation)
-    lo, hi = _LOG_BRACKET_LO, _LOG_BRACKET_HI
-    rate_hi = _acceptance_rate(log_r, weights, hi)
-    while rate_hi < target_rate - eps and hi < cap:
-        hi = min(hi + math.log(10.0), cap)
-        rate_hi = _acceptance_rate(log_r, weights, hi)
-    rate_lo = _acceptance_rate(log_r, weights, lo)
-    while rate_lo > target_rate + eps and lo > -cap:
-        lo = max(lo - math.log(10.0), -cap)
-        rate_lo = _acceptance_rate(log_r, weights, lo)
-    if rate_hi < target_rate - eps:
-        raise ConvergenceError(
-            f"target rate {target_rate} unreachable (max {rate_hi} at bracket top)",
-            bracket=(math.exp(lo), math.exp(hi) if hi < 700 else math.inf),
-        )
-    if rate_lo > target_rate + eps:
-        raise ConvergenceError(
-            f"target rate {target_rate} below reach (min {rate_lo} at bracket bottom)",
-            bracket=(math.exp(lo), math.exp(hi) if hi < 700 else math.inf),
-        )
-    mid, rate = hi, rate_hi
-    for it in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        rate = _acceptance_rate(log_r, weights, mid)
-        if abs(rate - target_rate) <= eps:
-            return mid, rate, it, (lo, hi)
-        if rate < target_rate:
-            lo = mid
-        else:
-            hi = mid
-    # the bracket has collapsed to float resolution; report the midpoint
-    return mid, rate, max_iter, (lo, hi)
+        log_scale, rate = _solve_log_shift(rel, weights, 1.0 / budget)
+        return ScaleSolution(log_scale, log_sup, rate, budget, "budgeted")
+    rate = _acceptance_rate(rel, weights, log_scale)
+    return ScaleSolution(log_scale, log_sup, rate, budget, status)
 
 
 def _model_view(
@@ -288,7 +245,10 @@ def _model_view(
     grid: np.ndarray | None = None,
     grid_weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(log-ratios, model weights) pairs the solver can take expectations over."""
+    """(log-ratios, model weights) pairs the solver can take expectations over.
+
+    Sample mode needs n >= 2 draws: a single draw is its own envelope.
+    """
     if mode == "exact":
         if not isinstance(model, FiniteDist):
             raise DomainError("exact mode needs a finite model")
@@ -297,6 +257,8 @@ def _model_view(
     if mode == "sample":
         if rng is None:
             raise DomainError("sample mode needs an rng")
+        if not n >= 2:
+            raise DomainError(f"sample mode needs at least 2 calibration draws, got {n!r}")
         xs = model.sample(rng, n)
         lr = np.asarray(ratio.log(xs), dtype=float)
         return lr, np.full(len(lr), 1.0 / len(lr))
@@ -307,97 +269,6 @@ def _model_view(
         q = np.exp(np.asarray(model.log_density(grid), dtype=float))
         return lr, grid_weights * q
     raise DomainError(f"unknown mode {mode!r}")
-
-
-def solve_accept_scale(
-    ratio: RatioFn,
-    model: Distribution,
-    sup_ratio: float,
-    budget: float,
-    mode: str = "exact",
-    eps: float | None = None,
-    n: int = 10000,
-    rng: np.random.Generator | None = None,
-    grid: np.ndarray | None = None,
-    grid_weights: np.ndarray | None = None,
-    max_iter: int = _MAX_ITER,
-) -> ScaleSolution:
-    """Find the slack c >= 1 with E_model[min(c * r / M, 1)] = 1/budget.
-
-    budget = 1 accepts everything (status ``unit``); budget >= M needs no
-    slack beyond the classical sampler (c = 1, status ``unbudgeted``);
-    otherwise the rate equation is solved by bisection (status
-    ``budgeted``). eps defaults to 1e-9 in exact mode and 1e-6 otherwise.
-    """
-    if not budget >= 1:  # also rejects NaN
-        raise DomainError("budget must be at least 1 proposal per kept sample")
-    if eps is None:
-        eps = 1e-9 if mode == "exact" else 1e-6
-    log_sup = _log_of(sup_ratio)
-    lr, weights = _model_view(model, ratio, mode, n, rng, grid, grid_weights)
-    if budget == 1.0:
-        rate = float(np.dot(weights, ~np.isneginf(lr)))
-        return ScaleSolution(
-            scale=math.inf,
-            log_scale=math.inf,
-            rate=rate,
-            budget=1.0,
-            iterations=0,
-            status="unit",
-            bracket=(_LOG_BRACKET_LO, _LOG_BRACKET_CAP),
-        )
-    if budget >= sup_ratio:
-        rate = _acceptance_rate(lr - log_sup, weights, 0.0)
-        return ScaleSolution(
-            scale=1.0,
-            log_scale=0.0,
-            rate=rate,
-            budget=budget,
-            iterations=0,
-            status="unbudgeted",
-            bracket=(0.0, 0.0),
-        )
-    log_c, rate, iters, bracket = _solve_log_shift(
-        lr - log_sup, weights, 1.0 / budget, eps, max_iter
-    )
-    return ScaleSolution(
-        scale=_exp_or_inf(log_c),
-        log_scale=log_c,
-        rate=rate,
-        budget=budget,
-        iterations=iters,
-        status="budgeted",
-        bracket=bracket,
-    )
-
-
-def drs_gamma_for_rate(
-    ratio: RatioFn,
-    model: Distribution,
-    sup_ratio: float,
-    target_rate: float,
-    mode: str = "exact",
-    eps: float | None = None,
-    n: int = 10000,
-    rng: np.random.Generator | None = None,
-    max_iter: int = _MAX_ITER,
-) -> GammaSolution:
-    """Tune the drs shift gamma so E_model[min(exp(-gamma) r / M, 1)] = target_rate.
-
-    gamma > 0 throttles acceptance below the classical 1/M sampler; gamma < 0
-    spends a budget to accept more. The same bisection core as
-    ``solve_accept_scale`` is used with shift = -gamma.
-    """
-    if not (0 < target_rate <= 1):
-        raise DomainError("target rate must lie in (0, 1]")
-    if eps is None:
-        eps = 1e-9 if mode == "exact" else 1e-6
-    log_sup = _log_of(sup_ratio)
-    lr, weights = _model_view(model, ratio, mode, n, rng)
-    log_c, rate, iters, _ = _solve_log_shift(lr - log_sup, weights, target_rate, eps, max_iter)
-    return GammaSolution(
-        gamma=-log_c, rate=rate, target_rate=target_rate, iterations=iters, status="converged"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -536,48 +407,27 @@ def refine(
     model: Distribution,
     budget: float,
     mode: str = "exact",
-    eps: float | None = None,
+    eps: float = 1e-12,
     n: int = 10000,
     rng: np.random.Generator | None = None,
     grid: np.ndarray | None = None,
     grid_weights: np.ndarray | None = None,
 ) -> tuple[AcceptanceSpec, ScaleSolution]:
-    """One-call pipeline: ratio, envelope, slack, acceptance spec.
+    """One-call pipeline: ratio, model view, ``calibrate``, acceptance spec.
 
-    The envelope and the slack solver share one view of the model (its
-    atoms in exact mode, a single calibration sample in sample mode, the
-    quadrature grid in grid mode), so a seeded run is fully reproducible.
+    The envelope and the slack share one view of the model (its atoms in
+    exact mode, a single calibration sample of n >= 2 draws in sample mode,
+    the quadrature grid in grid mode), so a seeded run is fully
+    reproducible. A budgeted rate more than eps from 1/budget raises
+    ConvergenceError.
     """
-    if not budget >= 1:  # also rejects NaN
-        raise DomainError("budget must be at least 1 proposal per kept sample")
-    if eps is None:
-        eps = 1e-9 if mode == "exact" else 1e-6
     ratio = ratio_of(target, model)
     lr, weights = _model_view(model, ratio, mode, n, rng, grid, grid_weights)
-    live = weights > 0
-    if not np.any(live):
-        raise EstimationError("model view carries no mass")
-    log_sup = float(np.max(lr[live]))
-    if budget == 1.0:
-        rate = float(np.dot(weights, ~np.isneginf(lr)))
-        sol = ScaleSolution(
-            scale=math.inf, log_scale=math.inf, rate=rate, budget=1.0,
-            iterations=0, status="unit", bracket=(_LOG_BRACKET_LO, _LOG_BRACKET_CAP),
-        )
+    sol = calibrate(lr, weights, budget)
+    if sol.status == "unit":
         return AcceptanceSpec.unit(), sol
-    if math.log(budget) >= log_sup:
-        rate = _acceptance_rate(lr - log_sup, weights, 0.0)
-        sol = ScaleSolution(
-            scale=1.0, log_scale=0.0, rate=rate, budget=budget,
-            iterations=0, status="unbudgeted", bracket=(0.0, 0.0),
+    if sol.status == "budgeted" and not abs(sol.rate - 1.0 / budget) <= eps:
+        raise ConvergenceError(
+            f"rate {sol.rate!r} misses 1/K = {1.0 / budget!r} by more than {eps:g}"
         )
-        return AcceptanceSpec(kind="unbudgeted", ratio=ratio, log_sup=log_sup), sol
-    log_c, rate, iters, bracket = _solve_log_shift(lr - log_sup, weights, 1.0 / budget, eps)
-    sol = ScaleSolution(
-        scale=_exp_or_inf(log_c), log_scale=log_c, rate=rate, budget=budget,
-        iterations=iters, status="budgeted", bracket=bracket,
-    )
-    spec = AcceptanceSpec(
-        kind="budgeted", ratio=ratio, log_sup=log_sup, log_scale=log_c, budget=budget
-    )
-    return spec, sol
+    return AcceptanceSpec.clipped(ratio, sol.log_sup, sol.log_scale, budget), sol

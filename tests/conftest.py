@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from obrs import FiniteDist, bimodal_target, single_gaussian
+
+# one profile for every property test: reproducible runs, no example database
+# on disk, no per-example deadline on slow shared machines
+settings.register_profile("obrs", deadline=None, database=None, derandomize=True)
+settings.load_profile("obrs")
 
 
 @pytest.fixture

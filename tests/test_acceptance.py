@@ -16,6 +16,7 @@ from obrs import (
     FiniteDist,
     bimodal_target,
     budgeted_loss,
+    calibrate,
     check_improvement_bound,
     check_kl_renyi_bound,
     check_optimality,
@@ -28,7 +29,6 @@ from obrs import (
     refine,
     refined_finite,
     single_gaussian,
-    solve_accept_scale,
 )
 from obrs.cli import main as cli_main
 from obrs.fdiv import GENERATOR_PANEL, Generator, max_divergence
@@ -62,9 +62,10 @@ def test_c01_scale_solver_exact_rate(two_point):
     for _ in range(20):
         t, m = random_instance(rng)
         budget, _ = _random_budget(rng, t, m)
-        r = ratio_of(t, m)
+        lr = ratio_of(t, m).log(m.atoms)
         sup = float(np.max(t.probs / m.probs))
-        sol = solve_accept_scale(r, m, sup, budget)
+        sol = calibrate(lr, m.probs, budget)
+        assert sol.sup_ratio == pytest.approx(sup, rel=1e-12)
         if sol.status == "budgeted":
             worst = max(worst, abs(sol.rate - 1.0 / budget))
     assert worst <= 1e-9
@@ -263,7 +264,7 @@ def test_c09_grid2d_protocol(tmp_path):
     cfg = {
         "seed": 909, "rate": 0.4, "samples": 2500, "repeats": 50,
         "sigma": 0.05, "surrogate_sigma": 0.1, "spacing": 1.0,
-        "jitter": 200.0, "calibration": 10000, "eps": 1e-9,
+        "jitter": 200.0, "calibration": 10000,
     }
     t0 = time.perf_counter()
     run_grid2d(cfg, tmp_path)

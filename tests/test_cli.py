@@ -272,8 +272,39 @@ def test_rerun_of_infinite_budget_manifest_exits_one(tmp_path, capsys):
     text = (out / "manifest.json").read_text(encoding="utf-8")
     bad = tmp_path / "inf.json"
     bad.write_text(text.replace('"budget": 2.0', '"budget": Infinity'), encoding="utf-8")
-    assert run_cli("rerun", bad, "--out", tmp_path / "again") == 1
+    again = tmp_path / "again"
+    assert run_cli("rerun", bad, "--out", again) == 1
     assert capsys.readouterr().err.startswith("error:")
+    # the config is checked before the run: no output at all
+    assert list(again.glob("*")) == []
+
+
+@pytest.mark.parametrize("flag", ["--repeats", "--calibration", "--samples"])
+def test_grid2d_zero_count_exits_one(tmp_path, capsys, flag):
+    counts = {"--repeats": 1, "--calibration": 500, "--samples": 100}
+    counts[flag] = 0
+    out = tmp_path / "o"
+    args = [v for item in counts.items() for v in item]
+    assert run_cli("grid2d", "--seed", 1, *args, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag[2:] in err
+    assert list(out.glob("*")) == []
+
+
+def test_sample_one_point_calibration_exits_one(tmp_path, capsys):
+    # one calibration draw is its own envelope: rate 1.0 at any budget
+    target_file = tmp_path / "t.json"
+    model_file = tmp_path / "m.json"
+    target_file.write_text(json.dumps(bimodal_target().to_json()), encoding="utf-8")
+    model_file.write_text(json.dumps(single_gaussian(0.0, 1.5).to_json()), encoding="utf-8")
+    out = tmp_path / "o"
+    assert run_cli(
+        "sample", "--target", target_file, "--model", model_file, "--budget", 2,
+        "--seed", 1, "--samples", 10, "--calibration", 1, "--out", out,
+    ) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "calibration" in err
+    assert list(out.glob("*")) == []
 
 
 def test_bad_manifest_message_is_best_match(tmp_path, capsys):

@@ -158,7 +158,7 @@ def _mixture_and_points(draw):
     return m, inputs
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(_mixture_and_points())
 def test_log_density_is_bit_identical_to_broadcast_formula(case):
     m, inputs = case

@@ -7,6 +7,7 @@ import pytest
 
 from obrs import (
     DomainError,
+    FiniteDist,
     budgeted_loss,
     divergence_finite,
     fit_grid,
@@ -67,6 +68,18 @@ def test_loss_monotone_in_budget_exact(two_point):
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
     # unit budget: no refinement at all, the plain divergence
     assert losses[0] == pytest.approx(0.22314355131420976, abs=1e-12)
+
+
+def test_exact_loss_survives_an_underflowing_refined_mass():
+    # at K >= M the refined mass q * a of atom 0 underflows to 0 while the
+    # target keeps the smallest subnormal mass there; log-space terms keep
+    # kl at its f(1) = 0 instead of inf
+    target = FiniteDist([0, 1, 2], [5e-324, 1.0, 0.0])
+    model = FiniteDist([0, 1, 2], [0.4, 0.4, 0.2])
+    for gen in GENERATOR_PANEL:
+        losses = [budgeted_loss(gen, target, model, k) for k in (1.0, 2.0, 2.5, 3.0)]
+        assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:])), (gen.label, losses)
+        assert losses[-1] == pytest.approx(gen.f_at_one, abs=1e-12), gen.label
 
 
 def test_loss_rejects_sub_unit_budget(two_point):

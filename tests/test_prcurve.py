@@ -112,7 +112,7 @@ def _finite_pair_and_thresholds(draw):
     return target, model, np.sort(lams)
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(_finite_pair_and_thresholds())
 def test_scan_matches_fsum_reference(case):
     target, model, lams = case

@@ -16,9 +16,8 @@ from obrs import (
     acceptance_from_target,
     bimodal_target,
     budgeted_loss,
+    calibrate,
     check_ball_membership,
-    drs_gamma_for_rate,
-    estimate_sup_ratio,
     pr_curve,
     predict_refined_curve,
     random_feasible_acceptance,
@@ -27,10 +26,15 @@ from obrs import (
     refined_finite,
     rejection_sample,
     single_gaussian,
-    solve_accept_scale,
     trapezoid_grid,
 )
 from obrs.fdiv import Generator
+from obrs.sampling import _solve_log_shift
+
+
+def _exact_view(target, model):
+    """Log-ratios and model weights over a finite model's atoms."""
+    return ratio_of(target, model).log(model.atoms), model.probs
 
 
 # ---------------------------------------------------------------------------
@@ -39,9 +43,8 @@ from obrs.fdiv import Generator
 
 
 def test_sup_ratio_exact(two_point):
-    target, model = two_point
-    r = ratio_of(target, model)
-    assert estimate_sup_ratio(r, model, mode="exact") == pytest.approx(2.5, abs=1e-12)
+    sol = calibrate(*_exact_view(*two_point), budget=2.0)
+    assert sol.sup_ratio == pytest.approx(2.5, abs=1e-12)
 
 
 def test_sup_ratio_modes_agree(mixture_pair, rng):
@@ -49,11 +52,9 @@ def test_sup_ratio_modes_agree(mixture_pair, rng):
     # grid and a big sample they agree to a percent (either can sit closer
     # to the true maximizer)
     target, model = mixture_pair
-    r = ratio_of(target, model)
-    grid_sup = estimate_sup_ratio(
-        r, model, mode="grid", grid=trapezoid_grid([target, model])[0]
-    )
-    sample_sup = estimate_sup_ratio(r, model, mode="sample", n=5000, rng=rng)
+    x, w = trapezoid_grid([target, model])
+    grid_sup = refine(target, model, 2.0, mode="grid", grid=x, grid_weights=w)[1].sup_ratio
+    sample_sup = refine(target, model, 2.0, mode="sample", n=5000, rng=rng)[1].sup_ratio
     assert sample_sup == pytest.approx(grid_sup, rel=0.01)
 
 
@@ -63,27 +64,21 @@ def test_sup_ratio_modes_agree(mixture_pair, rng):
 
 
 def test_two_point_scale(two_point):
-    target, model = two_point
-    r = ratio_of(target, model)
-    sol = solve_accept_scale(r, model, 2.5, budget=2.0)
+    sol = calibrate(*_exact_view(*two_point), budget=2.0)
     assert sol.status == "budgeted"
     assert abs(sol.rate - 0.5) <= 1e-9
     assert sol.scale == pytest.approx(1.5, abs=1e-7)
 
 
 def test_unit_budget_status(two_point):
-    target, model = two_point
-    r = ratio_of(target, model)
-    sol = solve_accept_scale(r, model, 2.5, budget=1.0)
+    sol = calibrate(*_exact_view(*two_point), budget=1.0)
     assert sol.status == "unit"
     assert sol.rate == pytest.approx(1.0)
     assert sol.scale == math.inf
 
 
 def test_budget_covering_ratio_status(two_point):
-    target, model = two_point
-    r = ratio_of(target, model)
-    sol = solve_accept_scale(r, model, 2.5, budget=3.0)
+    sol = calibrate(*_exact_view(*two_point), budget=3.0)
     assert sol.status == "unbudgeted"
     assert sol.scale == 1.0
     # classical rejection rate: 1/M
@@ -91,18 +86,15 @@ def test_budget_covering_ratio_status(two_point):
 
 
 def test_budget_below_one_rejected(two_point):
-    target, model = two_point
-    r = ratio_of(target, model)
     with pytest.raises(DomainError):
-        solve_accept_scale(r, model, 2.5, budget=0.5)
+        calibrate(*_exact_view(*two_point), budget=0.5)
 
 
 def test_nan_budget_rejected(two_point, mixture_pair, rng):
-    # NaN passes a "budget < 1" guard and then bisects toward a meaningless rate
+    # NaN passes a "budget < 1" guard and then solves for a meaningless rate
     target, model = two_point
-    r = ratio_of(target, model)
     calls = [
-        lambda b: solve_accept_scale(r, model, 2.5, budget=b),
+        lambda b: calibrate(*_exact_view(target, model), budget=b),
         lambda b: refine(target, model, b, mode="exact"),
         lambda b: acceptance_from_target(target, model, b),
         lambda b: random_feasible_acceptance(model, b, rng),
@@ -120,15 +112,14 @@ def test_infinite_budget_is_unbudgeted(two_point):
     spec, sol = refine(target, model, math.inf, mode="exact")
     assert sol.status == "unbudgeted"
     assert sol.rate == pytest.approx(1.0 / 2.5, abs=1e-12)
-    sol = solve_accept_scale(ratio_of(target, model), model, 2.5, budget=math.inf)
+    sol = calibrate(*_exact_view(target, model), budget=math.inf)
     assert sol.status == "unbudgeted"
 
 
 def test_rate_hits_target_across_budgets(two_point):
-    target, model = two_point
-    r = ratio_of(target, model)
+    view = _exact_view(*two_point)
     for budget in (1.1, 1.5, 2.0, 2.4):
-        sol = solve_accept_scale(r, model, 2.5, budget=budget)
+        sol = calibrate(*view, budget=budget)
         assert abs(sol.rate - 1.0 / budget) <= 1e-9, budget
 
 
@@ -172,7 +163,7 @@ def test_unit_spec_accepts_everything():
 
 def test_unbudgeted_spec_is_classical_thinning(two_point):
     target, model = two_point
-    spec = AcceptanceSpec.unbudgeted(ratio_of(target, model), 2.5)
+    spec = AcceptanceSpec.clipped(ratio_of(target, model), math.log(2.5))
     a = spec.accept_prob(model.atoms)
     np.testing.assert_allclose(a, [0.625 / 2.5, 1.0], atol=1e-12)
 
@@ -192,19 +183,20 @@ def test_drs_matched_rate_equals_budgeted(two_point):
     target, model = two_point
     r = ratio_of(target, model)
     spec, sol = refine(target, model, 2.0, mode="exact")
-    gam = drs_gamma_for_rate(r, model, 2.5, target_rate=0.5)
-    drs = AcceptanceSpec.drs(r, 2.5, gam.gamma)
+    log_c, _ = _solve_log_shift(r.log(model.atoms) - math.log(2.5), model.probs, 0.5)
+    gamma = -log_c
+    drs = AcceptanceSpec.clipped(r, math.log(2.5), -gamma)
     np.testing.assert_allclose(
         drs.accept_prob(model.atoms), spec.accept_prob(model.atoms), atol=1e-9
     )
-    assert gam.gamma == pytest.approx(-math.log(1.5), abs=1e-7)
+    assert gamma == pytest.approx(-math.log(1.5), abs=1e-7)
 
 
 def test_drs_gamma_zero_is_classical(two_point):
     target, model = two_point
     r = ratio_of(target, model)
-    gam = drs_gamma_for_rate(r, model, 2.5, target_rate=1.0 / 2.5)
-    assert gam.gamma == pytest.approx(0.0, abs=1e-7)
+    log_c, _ = _solve_log_shift(r.log(model.atoms) - math.log(2.5), model.probs, 1.0 / 2.5)
+    assert -log_c == pytest.approx(0.0, abs=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +214,14 @@ def test_refine_sample_mode_tracks_exact(mixture_pair, rng):
     # calibration noise only: the two acceptance functions roughly agree
     xs = np.linspace(-4, 4, 9)
     np.testing.assert_allclose(spec.accept_prob(xs), gspec.accept_prob(xs), rtol=0.2)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_refine_sample_mode_needs_two_points(mixture_pair, n):
+    # one draw is its own envelope: it would read unbudgeted at rate 1.0
+    target, model = mixture_pair
+    with pytest.raises(DomainError, match="calibration"):
+        refine(target, model, 2.0, mode="sample", n=n, rng=np.random.default_rng(0))
 
 
 def test_refine_exact_needs_finite_model(mixture_pair):
