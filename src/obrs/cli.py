@@ -31,12 +31,13 @@ import scipy
 
 from . import __version__
 from .dist import (
+    FiniteDist,
     bimodal_target,
     dist_from_json,
     gaussian_grid_2d,
+    pair_view,
     ratio_of,
     single_gaussian,
-    trapezoid_grid,
 )
 from .errors import DomainError, ObrsError
 from .fdiv import (
@@ -45,6 +46,7 @@ from .fdiv import (
     discriminator_from_ratio,
     f_value,
     fstar_value,
+    max_divergence,
     ratio_from_discriminator,
 )
 from .landscape import (
@@ -69,7 +71,6 @@ from .sampling import (
     refine,
     rejection_sample,
 )
-from .fdiv import max_divergence
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +104,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write(text + "\n")
 
 
-def _write_summary(path: Path, payload: dict) -> None:
-    _write_json(path, payload)
-
-
 def _manifest_schema() -> dict:
     text = resources.files("obrs").joinpath("data/manifest-schema.json").read_text("utf-8")
     return json.loads(text)
@@ -114,11 +111,20 @@ def _manifest_schema() -> dict:
 
 @functools.cache
 def _manifest_validator():
-    """The schema's validator, checked against its meta-schema once per process."""
+    """The schema's validator, built once per process.
+
+    Its integers are strict: JSON Schema reads 2.0 as an integer, which no
+    count in a run can take. The bundled schema is checked against its
+    meta-schema by the tests (``jsonschema.validate`` in ``test_cli.py``),
+    not here: with a typed config per command that check costs about 35 ms
+    at every process start.
+    """
     schema = _manifest_schema()
     cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    strict = cls.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)
+    )
+    return jsonschema.validators.extend(cls, type_checker=strict)(schema)
 
 
 def _validate_manifest(manifest: dict) -> None:
@@ -184,7 +190,7 @@ def run_generators(cfg: dict, out: Path) -> list[str]:
         ["generator", "u", "f", "t_opt", "fstar_at_t_opt", "fenchel_gap", "ratio_roundtrip"],
         rows,
     )
-    _write_summary(out / "summary.json", {
+    _write_json(out / "summary.json", {
         "f_at_one": {g.label: g.f_at_one for g in GENERATOR_PANEL},
         "smooth": {g.label: g.smooth for g in GENERATOR_PANEL},
     })
@@ -200,10 +206,8 @@ def run_refine(cfg: dict, out: Path) -> list[str]:
     budget = cfg["budget"]
     target = bimodal_target(cfg["target_mu"], cfg["target_sigma"])
     model = single_gaussian(cfg["model_mu"], cfg["model_sigma"])
-    x, w = trapezoid_grid([target, model], n_nodes=cfg["nodes"], span=cfg["span"])
-    lp = np.asarray(target.log_density(x), dtype=float)
-    lq = np.asarray(model.log_density(x), dtype=float)
-    sol = calibrate(lp - lq, w * np.exp(lq), budget)
+    x, lp, lq, _, qw = pair_view(target, model, "quadrature", cfg["nodes"], cfg["span"])
+    sol = calibrate(lp - lq, qw, budget)
     rel = lp - lq - sol.log_sup
     a_unbudgeted = np.exp(_log_accept(rel, 0.0))
     a_budgeted = np.exp(_log_accept(rel, sol.log_scale))
@@ -232,7 +236,7 @@ def run_refine(cfg: dict, out: Path) -> list[str]:
          for l, a, b, lr_, ar, br in zip(base.lams, base.alphas, base.betas,
                                          pred.lams, pred.alphas, pred.betas)],
     )
-    _write_summary(out / "summary.json", {
+    _write_json(out / "summary.json", {
         "budget": budget,
         "status": sol.status,
         "sup_ratio": sol.sup_ratio,
@@ -267,7 +271,7 @@ def run_landscape(cfg: dict, out: Path) -> list[str]:
     for j in range(1, len(surf.budgets)):
         gap = float(np.max(surf.losses[:, j] - surf.losses[:, j - 1]))
         mono[f"max_excess_{surf.budgets[j]:g}_vs_{surf.budgets[j-1]:g}"] = gap
-    _write_summary(out / "summary.json", {
+    _write_json(out / "summary.json", {
         "generator": gen.label,
         "local_minima": {f"{b:g}": counts[b] for b in surf.budgets},
         "argmin_theta": {f"{b:g}": surf.argmin_theta(b) for b in surf.budgets},
@@ -295,7 +299,7 @@ def run_fit(cfg: dict, out: Path) -> list[str]:
             "best_loss": res.best_loss,
         }
     _write_csv(out / "fit.csv", ["budget", "mu", "sigma", "loss"], rows)
-    _write_summary(out / "summary.json", {"generator": gen.label, "argmin": results})
+    _write_json(out / "summary.json", {"generator": gen.label, "argmin": results})
     return ["fit.csv", "summary.json"]
 
 
@@ -306,8 +310,6 @@ def run_fit(cfg: dict, out: Path) -> list[str]:
 
 def run_bounds(cfg: dict, out: Path) -> list[str]:
     rng = np.random.default_rng(cfg["seed"])
-    from .dist import FiniteDist
-
     instances: list[tuple[str, FiniteDist, FiniteDist, float]] = [
         ("canonical", FiniteDist([0, 1], [0.5, 0.5]), FiniteDist([0, 1], [0.8, 0.2]), 2.0)
     ]
@@ -352,7 +354,7 @@ def run_bounds(cfg: dict, out: Path) -> list[str]:
          "satisfied", "witness_feasible", "witness_max_excess", "limit_case"],
         kl_rows,
     )
-    _write_summary(out / "summary.json", {
+    _write_json(out / "summary.json", {
         "instances": len(instances),
         "general_checks": len(general_rows),
         "general_violations": general_violations,
@@ -459,7 +461,7 @@ def run_grid2d(cfg: dict, out: Path) -> list[str]:
             "recall_min": float(np.min(r)),
             "draws_per_accept_mean": float(np.mean(d) / n),
         }
-    _write_summary(out / "summary.json", summary)
+    _write_json(out / "summary.json", summary)
     return ["grid2d.csv", "summary.json"]
 
 
@@ -475,8 +477,6 @@ def run_sample(cfg: dict, out: Path) -> list[str]:
         model = dist_from_json(json.load(fh))
     rng = np.random.default_rng([cfg["seed"], 2])
     budget = cfg["budget"]
-    from .dist import FiniteDist
-
     if isinstance(model, FiniteDist):
         spec, sol = refine(target, model, budget, mode="exact")
     else:
@@ -495,7 +495,7 @@ def run_sample(cfg: dict, out: Path) -> list[str]:
         header = ["sample"]
         rows = [[s] for s in result.samples]
     _write_csv(out / "samples.csv", header, rows)
-    _write_summary(out / "summary.json", {
+    _write_json(out / "summary.json", {
         "budget": budget,
         "status": sol.status,
         "solver_rate": sol.rate,

@@ -15,6 +15,7 @@ deep tails (log-ratios of several hundred) never overflow prematurely.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -259,21 +260,8 @@ def ratio_of(target: Distribution, model: Distribution) -> RatioFn:
     and target mass > 0 is a zero-denominator error.
     """
     if isinstance(target, FiniteDist) and isinstance(model, FiniteDist):
-        if not target.same_support(model):
-            raise SupportMismatchError("ratio requires identical atom lists")
-        bad = np.flatnonzero((model.probs == 0) & (target.probs > 0))
-        if bad.size:
-            raise DomainError(
-                f"zero-denominator: model mass is 0 at atom index {bad[0]} "
-                f"({target.atoms[bad[0]]!r}) where target mass is positive"
-            )
-        with np.errstate(divide="ignore"):
-            log_table = np.where(
-                target.probs > 0,
-                np.log(target.probs, where=target.probs > 0, out=np.full_like(target.probs, -np.inf))
-                - np.log(model.probs, where=model.probs > 0, out=np.zeros_like(model.probs)),
-                -np.inf,
-            )
+        _, lp, lq, p, _ = pair_view(target, model, "exact")
+        log_table = np.where(p > 0, _log_ratio(lp, lq), -np.inf)
         index = model._index
 
         def log_fn(x):
@@ -308,7 +296,15 @@ def trapezoid_grid(
     The domain is the union of all component mean ± span·std intervals of
     all the 1-d mixtures given. For smooth, rapidly decaying integrands the
     rule converges superalgebraically, so 4096 nodes are effectively exact.
+    A span that is not a finite positive number, or a node count that is not
+    an integer >= 2, raises DomainError.
     """
+    if not 0 < span < math.inf:  # also rejects NaN
+        raise DomainError(f"span must be a finite positive number, got {span!r}")
+    try:
+        n_nodes = operator.index(n_nodes)
+    except TypeError:
+        raise DomainError(f"node count must be an integer, got {n_nodes!r}") from None
     if n_nodes < 2:
         raise DomainError("need at least 2 nodes")
     los, his = [], []
@@ -324,6 +320,53 @@ def trapezoid_grid(
     w = np.full(n_nodes, h)
     w[0] = w[-1] = h / 2
     return x, w
+
+
+def pair_view(
+    target: Distribution, model: Distribution, mode: str, n_nodes: int = 4096, span: float = 8.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The weighted view of a (target, model) pair: (points, lp, lq, pw, qw).
+
+    lp and lq are the log-densities at the points, pw and qw the target and
+    model weights whose sums are the expectations every exact and quadrature
+    caller takes. ``exact`` takes two finite distributions on one atom list:
+    the points are the atom indices, lp and lq the log masses (-inf at zero
+    mass) and pw, qw the masses. ``quadrature`` takes two 1-d mixtures: the
+    points are the ``trapezoid_grid`` nodes and, with w their weights,
+    pw = w * exp(lp) and qw = w * exp(lq). Other families raise DomainError,
+    different atom lists SupportMismatchError.
+    """
+    if mode == "exact":
+        if not (isinstance(target, FiniteDist) and isinstance(model, FiniteDist)):
+            raise DomainError("exact mode needs two finite distributions")
+        if not target.same_support(model):
+            raise SupportMismatchError("the two distributions must share one atom list")
+        pw, qw = target.probs, model.probs
+        with np.errstate(divide="ignore"):
+            return np.arange(len(pw)), np.log(pw), np.log(qw), pw, qw
+    if mode == "quadrature":
+        if not (isinstance(target, GaussianMixture) and isinstance(model, GaussianMixture)):
+            raise DomainError("quadrature mode needs two mixtures")
+        x, w = trapezoid_grid([target, model], n_nodes=n_nodes, span=span)
+        lp = np.asarray(target.log_density(x), dtype=float)
+        lq = np.asarray(model.log_density(x), dtype=float)
+        return x, lp, lq, w * np.exp(lp), w * np.exp(lq)
+    raise DomainError(f"unknown mode {mode!r}")
+
+
+def _log_ratio(lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
+    """log r = lp - lq on a pair view; NaN where both masses vanish.
+
+    Target mass where the model has none is a zero-denominator DomainError.
+    """
+    with np.errstate(invalid="ignore"):
+        lr = lp - lq
+    bad = np.flatnonzero(lr == np.inf)
+    if bad.size:
+        raise DomainError(
+            f"zero-denominator: model mass is 0 at atom index {bad[0]} where target mass is positive"
+        )
+    return lr
 
 
 # ---------------------------------------------------------------------------

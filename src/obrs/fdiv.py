@@ -24,6 +24,12 @@ Conjugates f*(t) = sup_u (ut - f(u)) are provided for the variational
 ``discriminator_from_ratio`` = f'(r) and ``ratio_from_discriminator`` =
 (f*)'(t). For smooth generators these are inverse bijections and the
 Fenchel-Young identity f(u) + f*(f'(u)) = u f'(u) holds exactly.
+
+Every exact and quadrature divergence starts from ``dist.pair_view``, the
+weighted (target, model) view, and sums the terms of one kernel,
+``_fdiv_terms``, which works from the two weights and the log ratio.
+``f_value`` is the pointwise map, kept for Monte Carlo estimates and the
+generator table.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .dist import Distribution, FiniteDist, GaussianMixture, RatioFn, ratio_of, trapezoid_grid
+from .dist import Distribution, FiniteDist, GaussianMixture, RatioFn, pair_view
 from .errors import (
     AbsoluteContinuityError,
     DomainError,
@@ -248,26 +254,18 @@ def divergence_finite(gen: Generator, target: FiniteDist, model: FiniteDist) -> 
     carrying target mass breaks absolute continuity: tv and pr remain finite
     by their u -> inf limits, every other generator raises.
     """
-    if not target.same_support(model):
-        raise SupportMismatchError("divergence_finite requires identical atom lists")
-    p, q = target.probs, model.probs
-    heavy = (q == 0) & (p > 0)
-    terms: list[float] = []
-    if np.any(heavy):
-        if gen.kind == "tv":
-            terms.append(0.5 * math.fsum(p[heavy].tolist()))
-        elif gen.kind == "pr":
-            # lim q f(p/q) = lam p - max(lam,1) q = lam p as q -> 0.
-            terms.append(gen.lam * math.fsum(p[heavy].tolist()))
-        else:
-            i = int(np.flatnonzero(heavy)[0])
+    _, lp, lq, p, q = pair_view(target, model, "exact")
+    if gen.kind not in ("tv", "pr"):
+        heavy = np.flatnonzero((q == 0) & (p > 0))
+        if heavy.size:
+            i = int(heavy[0])
             raise AbsoluteContinuityError(
                 f"model mass vanishes at atom index {i} ({target.atoms[i]!r}) "
                 "where target mass is positive"
             )
-    live = q > 0
-    terms.extend((q[live] * f_value(gen, p[live] / q[live])).tolist())
-    return DivergenceEstimate(value=math.fsum(terms))
+    with np.errstate(invalid="ignore"):
+        log_u = lp - lq
+    return DivergenceEstimate(value=_fsum(_fdiv_terms(gen, p, q, log_u)))
 
 
 def divergence_quadrature(
@@ -278,20 +276,23 @@ def divergence_quadrature(
     span: float = 8.0,
 ) -> DivergenceEstimate:
     """Trapezoid-rule D_f(target || model) for 1-d mixture pairs."""
-    x, w = trapezoid_grid([target, model], n_nodes=n_nodes, span=span)
-    lp = target.log_density(x)
-    lq = model.log_density(x)
-    terms = _fdiv_terms(gen, w * np.exp(lp), w * np.exp(lq), lp - lq)
-    return DivergenceEstimate(value=math.fsum(terms.tolist()))
+    _, lp, lq, pw, qw = pair_view(target, model, "quadrature", n_nodes, span)
+    return DivergenceEstimate(value=_fsum(_fdiv_terms(gen, pw, qw, lp - lq)))
+
+
+def _fsum(values: np.ndarray) -> float:
+    return math.fsum(values.tolist())
 
 
 def _fdiv_terms(gen: Generator, pw: np.ndarray, qw: np.ndarray, log_u: np.ndarray) -> np.ndarray:
     """Stable per-point contributions qw * f(exp(log_u)) with pw = qw * u.
 
-    Works directly from target weight, model weight, and the log ratio, so
-    log-ratios of hundreds never round-trip through exp(). Used by both the
-    quadrature divergence and the budgeted-loss integrand, where qw plays
-    the role of the (possibly acceptance-reweighted) model weight.
+    The one f-divergence kernel: every exact and quadrature divergence and
+    every budgeted loss sums its terms. Works directly from target weight,
+    model weight, and the log ratio, so log-ratios of hundreds never
+    round-trip through exp(). qw may be an acceptance-reweighted model
+    weight. Where qw = 0 under target mass, tv and pr take their u -> inf
+    limits.
     """
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         if gen.kind == "kl":
@@ -312,6 +313,30 @@ def _fdiv_terms(gen: Generator, pw: np.ndarray, qw: np.ndarray, log_u: np.ndarra
         else:  # pr
             terms = np.maximum(gen.lam * pw, qw) - max(gen.lam, 1.0) * qw
     return np.where((pw == 0) & (qw == 0), 0.0, terms)
+
+
+def _acceptance_loss(
+    gen: Generator,
+    lp: np.ndarray,
+    lq: np.ndarray,
+    pw: np.ndarray,
+    qw: np.ndarray,
+    log_a: np.ndarray,
+    total: Callable[[np.ndarray], float],
+) -> float:
+    """D_f(target || q a / Z) on a pair view, from log a at each point.
+
+    Z = total(q a) is the measured rate; total is ``_fsum`` on finite views
+    and ``np.sum`` on quadrature grids. log u = log(p / refined) is taken in
+    log space, so it stays finite where the refined mass underflows.
+    """
+    qa = qw * np.exp(log_a)
+    z = float(total(qa))
+    if z <= 0:
+        raise DomainError("acceptance kills all model mass")
+    with np.errstate(invalid="ignore"):
+        log_u = lp - (lq + log_a - math.log(z))
+    return float(total(_fdiv_terms(gen, pw, qa / z, log_u)))
 
 
 def divergence_mc(
@@ -352,19 +377,14 @@ def dual_value(
     integrated by quadrature.
     """
     if isinstance(target, FiniteDist) and isinstance(model, FiniteDist):
-        if not target.same_support(model):
-            raise SupportMismatchError("dual_value requires identical atom lists")
-        t = np.asarray(t_fn(np.arange(len(target))), dtype=float)
-        fst = fstar_value(gen, t)
-        return math.fsum((target.probs * t).tolist()) - math.fsum((model.probs * fst).tolist())
-    if isinstance(target, GaussianMixture) and isinstance(model, GaussianMixture):
-        x, w = trapezoid_grid([target, model], n_nodes=n_nodes, span=span)
-        t = np.asarray(t_fn(x), dtype=float)
-        fst = fstar_value(gen, t)
-        pw = w * target.density(x)
-        q = w * model.density(x)
-        return math.fsum((pw * t).tolist()) - math.fsum((q * fst).tolist())
-    raise SupportMismatchError("dual_value needs two finite or two mixture distributions")
+        mode = "exact"
+    elif isinstance(target, GaussianMixture) and isinstance(model, GaussianMixture):
+        mode = "quadrature"
+    else:
+        raise SupportMismatchError("dual_value needs two finite or two mixture distributions")
+    x, _, _, pw, qw = pair_view(target, model, mode, n_nodes, span)
+    t = np.asarray(t_fn(x), dtype=float)
+    return _fsum(pw * t) - _fsum(qw * fstar_value(gen, t))
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +403,7 @@ def renyi_divergence(order: float, target: FiniteDist, model: FiniteDist) -> flo
         raise DomainError("Renyi order must be positive")
     if order == 1.0:
         raise DomainError("order 1 is the KL limit; use divergence_finite with kl")
-    if not target.same_support(model):
-        raise SupportMismatchError("renyi_divergence requires identical atom lists")
-    p, q = target.probs, model.probs
+    _, lp, lq, p, q = pair_view(target, model, "exact")
     if order > 1:
         bad = np.flatnonzero((q == 0) & (p > 0))
         if bad.size:
@@ -396,17 +414,13 @@ def renyi_divergence(order: float, target: FiniteDist, model: FiniteDist) -> flo
     live = (p > 0) & (q > 0)
     if not np.any(live):
         raise DomainError("distributions share no support")
-    lp = np.log(p[live])
-    lq = np.log(q[live])
-    return float(logsumexp(order * lp + (1.0 - order) * lq) / (order - 1.0))
+    return float(logsumexp(order * lp[live] + (1.0 - order) * lq[live]) / (order - 1.0))
 
 
 def max_divergence(target: Distribution, model: Distribution, grid: np.ndarray | None = None) -> float:
     """log sup_x target(x)/model(x): exact on finite supports, grid sup otherwise."""
     if isinstance(target, FiniteDist) and isinstance(model, FiniteDist):
-        if not target.same_support(model):
-            raise SupportMismatchError("max_divergence requires identical atom lists")
-        p, q = target.probs, model.probs
+        _, lp, lq, p, q = pair_view(target, model, "exact")
         bad = np.flatnonzero((q == 0) & (p > 0))
         if bad.size:
             raise AbsoluteContinuityError(
@@ -415,16 +429,15 @@ def max_divergence(target: Distribution, model: Distribution, grid: np.ndarray |
         live = p > 0
         if not np.any(live):
             raise DomainError("target has no mass")
-        return float(np.max(np.log(p[live]) - np.log(q[live])))
+        return float(np.max(lp[live] - lq[live]))
     if isinstance(target, GaussianMixture) and isinstance(model, GaussianMixture):
-        if grid is None:
-            if target.dim != 1:
-                raise DomainError("supply an explicit grid for mixtures above 1-d")
-            grid, _ = trapezoid_grid([target, model])
-        lr = np.asarray(target.log_density(grid), dtype=float) - np.asarray(
-            model.log_density(grid), dtype=float
-        )
-        return float(np.max(lr))
+        if grid is not None:
+            lp, lq = target.log_density(grid), model.log_density(grid)
+        elif target.dim != 1:
+            raise DomainError("supply an explicit grid for mixtures above 1-d")
+        else:
+            _, lp, lq, _, _ = pair_view(target, model, "quadrature")
+        return float(np.max(np.asarray(lp, dtype=float) - np.asarray(lq, dtype=float)))
     raise SupportMismatchError("max_divergence needs two finite or two mixture distributions")
 
 

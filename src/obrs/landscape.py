@@ -16,14 +16,15 @@ fixed node count that spans each (target, model) pair's own support, so
 the nodes move with the model. Within one loss evaluation the same grid
 feeds the slack solver and the divergence, and a given pair gets the same
 grid at every budget, so comparisons across budgets are internally
-consistent. The integrand is evaluated from log-densities (see
-``fdiv._fdiv_terms``), which keeps lattice corners with log-ratios of
-several hundred finite.
+consistent. Exact and quadrature losses share one path: ``dist.pair_view``
+gives the weighted view of the pair, ``sampling.calibrate`` the acceptance
+on it, and the single f-divergence kernel ``fdiv._fdiv_terms`` the
+integrand, evaluated from log-densities, which keeps lattice corners with
+log-ratios of several hundred finite.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +32,13 @@ import numpy as np
 from .dist import (
     FiniteDist,
     GaussianMixture,
+    _log_ratio,
     bimodal_target,
+    pair_view,
     single_gaussian,
-    ratio_of,
     spacing_mismatch_pair,
-    trapezoid_grid,
 )
-from .errors import DomainError
-from .fdiv import Generator, _fdiv_terms, divergence_finite
+from .fdiv import Generator, _acceptance_loss, _fsum, divergence_finite
 from .sampling import _log_accept, calibrate, refine, refined_finite
 
 THETA_GRID_DEFAULT = np.linspace(0.1, 2.5, 241)
@@ -70,41 +70,13 @@ def budgeted_loss(
     under target mass (kl, reverse_kl) are truncated there by the grid,
     while bounded ones (gan, tv, pr) are represented faithfully.
     """
-    if mode == "exact":
-        if not isinstance(target, FiniteDist) or not isinstance(model, FiniteDist):
-            raise DomainError("exact mode needs two finite distributions")
-        pw, qw = target.probs, model.probs
-        lr = np.asarray(ratio_of(target, model).log(model.atoms), dtype=float)
-        with np.errstate(divide="ignore"):
-            lp, lq = np.log(pw), np.log(qw)
-        total = _fsum
-    elif mode == "quadrature":
-        if not isinstance(target, GaussianMixture) or not isinstance(model, GaussianMixture):
-            raise DomainError("quadrature mode needs two mixtures")
-        # log-densities computed once feed both the calibration and the
-        # integrand: this body runs tens of thousands of times across a fit lattice
-        x, w = trapezoid_grid([target, model], n_nodes=n_nodes, span=span)
-        lp = np.asarray(target.log_density(x), dtype=float)
-        lq = np.asarray(model.log_density(x), dtype=float)
-        lr = lp - lq
-        pw, qw = w * np.exp(lp), w * np.exp(lq)
-        total = np.sum
-    else:
-        raise DomainError(f"unknown loss mode {mode!r}")
+    # log-densities computed once feed both the calibration and the
+    # integrand: this body runs tens of thousands of times across a fit lattice
+    _, lp, lq, pw, qw = pair_view(target, model, mode, n_nodes, span)
+    lr = _log_ratio(lp, lq)
     sol = calibrate(lr, qw, budget)
     log_a = _log_accept(lr - sol.log_sup, sol.log_scale)
-    qa = qw * np.exp(log_a)
-    z = float(total(qa))
-    if z <= 0:
-        raise DomainError("acceptance kills all model mass")
-    # log u = log(p / refined) stays finite where the refined mass underflows
-    with np.errstate(invalid="ignore"):
-        log_u = lp - (lq + log_a - math.log(z))
-    return float(total(_fdiv_terms(gen, pw, qa / z, log_u)))
-
-
-def _fsum(values) -> float:
-    return math.fsum(np.asarray(values, dtype=float).tolist())
+    return _acceptance_loss(gen, lp, lq, pw, qw, log_a, _fsum if mode == "exact" else np.sum)
 
 
 def primal_identity_check(

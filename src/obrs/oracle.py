@@ -16,11 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .dist import FiniteDist
+from .dist import FiniteDist, pair_view
 from .errors import DomainError
 from .fdiv import (
     GENERATOR_PANEL,
     Generator,
+    _acceptance_loss,
+    _fsum,
     divergence_finite,
     max_divergence,
     renyi_divergence,
@@ -124,16 +126,6 @@ class OptimalityReport:
         return all(g.violations == 0 for g in self.per_gen.values())
 
 
-def _loss_of_acceptance(
-    gen: Generator, target: FiniteDist, model: FiniteDist, a: np.ndarray
-) -> float:
-    mass = model.probs * a
-    z = math.fsum(mass.tolist())
-    if z <= 0:
-        raise DomainError("acceptance kills all model mass")
-    return divergence_finite(gen, target, FiniteDist(model.atoms, mass / z)).value
-
-
 def check_optimality(
     target: FiniteDist,
     model: FiniteDist,
@@ -158,10 +150,11 @@ def check_optimality(
     }
     best = {g.label: math.inf for g in gens}
     violations = {g.label: 0 for g in gens}
+    _, lp, lq, pw, qw = pair_view(target, model, "exact")
     for _ in range(trials):
-        a = random_feasible_acceptance(model, budget, rng)
+        log_a = np.log(random_feasible_acceptance(model, budget, rng))
         for g in gens:
-            loss = _loss_of_acceptance(g, target, model, a)
+            loss = _acceptance_loss(g, lp, lq, pw, qw, log_a, _fsum)
             best[g.label] = min(best[g.label], loss)
             if loss < refined_losses[g.label] - tol:
                 violations[g.label] += 1

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Distribution, FiniteDist, GaussianMixture, ratio_of, trapezoid_grid
-from .errors import DomainError, SupportMismatchError
+from .dist import Distribution, _log_ratio, pair_view, ratio_of
+from .errors import DomainError
 from .sampling import ScaleSolution, _log_accept, calibrate
 
 
@@ -120,19 +120,9 @@ def pr_point(
     """One tradeoff point. ``exact`` for finite pairs, ``quadrature`` for 1-d
     mixture pairs, ``mc`` for anything with a ratio (adds stderrs)."""
     lam = float(_thresholds(lam))
-    if mode == "exact":
-        if not (isinstance(target, FiniteDist) and isinstance(model, FiniteDist)):
-            raise DomainError("exact mode needs two finite distributions")
-        if not target.same_support(model):
-            raise SupportMismatchError("pr_point requires identical atom lists")
-        a, b = _pr_arrays(target.probs, model.probs, lam)
-        return PRPoint(lam, a, b)
-    if mode == "quadrature":
-        x, w = trapezoid_grid([target, model], n_nodes=n_nodes, span=span)
-        pw = w * np.exp(np.asarray(target.log_density(x), dtype=float))
-        qw = w * np.exp(np.asarray(model.log_density(x), dtype=float))
-        a, b = _pr_arrays(pw, qw, lam)
-        return PRPoint(lam, a, b)
+    if mode in ("exact", "quadrature"):
+        _, _, _, pw, qw = pair_view(target, model, mode, n_nodes, span)
+        return PRPoint(lam, *_pr_arrays(pw, qw, lam))
     if mode == "mc":
         if rng is None:
             raise DomainError("mc mode needs an rng")
@@ -175,18 +165,7 @@ def pr_curve(
     number of atoms or quadrature nodes; lam = 0 and lam = inf are exact.
     NaN or negative thresholds raise ``DomainError``.
     """
-    if mode == "exact":
-        if not (isinstance(target, FiniteDist) and isinstance(model, FiniteDist)):
-            raise DomainError("exact mode needs two finite distributions")
-        if not target.same_support(model):
-            raise SupportMismatchError("pr_curve requires identical atom lists")
-        pw, qw = target.probs, model.probs
-    elif mode == "quadrature":
-        x, w = trapezoid_grid([target, model], n_nodes=n_nodes, span=span)
-        pw = w * np.exp(np.asarray(target.log_density(x), dtype=float))
-        qw = w * np.exp(np.asarray(model.log_density(x), dtype=float))
-    else:
-        raise DomainError(f"unknown pr curve mode {mode!r}")
+    _, _, _, pw, qw = pair_view(target, model, mode, n_nodes, span)
     return _pr_scan(pw, qw, lams)
 
 
@@ -262,18 +241,8 @@ def check_refined_prediction(
     both paths are exact sums and agree to float roundoff; on 1-d mixture
     pairs both run on the same quadrature grid.
     """
-    if mode == "exact":
-        if not (isinstance(target, FiniteDist) and isinstance(model, FiniteDist)):
-            raise DomainError("exact mode needs two finite distributions")
-        lr = np.asarray(ratio_of(target, model).log(model.atoms), dtype=float)
-        pw, qw = target.probs, model.probs
-    elif mode == "quadrature":
-        x, w = trapezoid_grid([target, model], n_nodes=n_nodes, span=span)
-        lp = np.asarray(target.log_density(x), dtype=float)
-        lq = np.asarray(model.log_density(x), dtype=float)
-        pw, qw, lr = w * np.exp(lp), w * np.exp(lq), lp - lq
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
+    _, lp, lq, pw, qw = pair_view(target, model, mode, n_nodes, span)
+    lr = _log_ratio(lp, lq)
     sol = calibrate(lr, qw, budget)
     a = np.exp(_log_accept(lr - sol.log_sup, sol.log_scale))
     z = math.fsum((qw * a).tolist())

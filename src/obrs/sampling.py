@@ -30,7 +30,15 @@ from typing import Any
 
 import numpy as np
 
-from .dist import Distribution, FiniteDist, GaussianMixture, RatioFn, ratio_of
+from .dist import (
+    Distribution,
+    FiniteDist,
+    GaussianMixture,
+    RatioFn,
+    _log_ratio,
+    pair_view,
+    ratio_of,
+)
 from .errors import (
     BudgetExhaustedError,
     ConvergenceError,
@@ -82,6 +90,14 @@ class AcceptanceSpec:
     def clipped(
         cls, ratio: RatioFn, log_sup: float, log_scale: float = 0.0, budget: float | None = None
     ) -> "AcceptanceSpec":
+        """A NaN in either parameter, a non-finite log_sup or a log_scale of
+        -inf raises DomainError: such a spec accepts every proposal or none.
+        log_scale = +inf is the unit acceptance."""
+        # both checks are written to fail on NaN
+        if not abs(log_sup) < math.inf:
+            raise DomainError(f"log envelope must be finite, got {log_sup!r}")
+        if not log_scale > -math.inf:
+            raise DomainError(f"log slack must be above -inf, got {log_scale!r}")
         return cls(kind="clipped", ratio=ratio, log_sup=log_sup, log_scale=log_scale, budget=budget)
 
     @classmethod
@@ -236,41 +252,6 @@ def calibrate(log_r, weights, budget: float) -> ScaleSolution:
     return ScaleSolution(log_scale, log_sup, rate, budget, status)
 
 
-def _model_view(
-    model: Distribution,
-    ratio: RatioFn,
-    mode: str,
-    n: int,
-    rng: np.random.Generator | None,
-    grid: np.ndarray | None = None,
-    grid_weights: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(log-ratios, model weights) pairs the solver can take expectations over.
-
-    Sample mode needs n >= 2 draws: a single draw is its own envelope.
-    """
-    if mode == "exact":
-        if not isinstance(model, FiniteDist):
-            raise DomainError("exact mode needs a finite model")
-        lr = np.asarray(ratio.log(model.atoms), dtype=float)
-        return lr, model.probs.copy()
-    if mode == "sample":
-        if rng is None:
-            raise DomainError("sample mode needs an rng")
-        if not n >= 2:
-            raise DomainError(f"sample mode needs at least 2 calibration draws, got {n!r}")
-        xs = model.sample(rng, n)
-        lr = np.asarray(ratio.log(xs), dtype=float)
-        return lr, np.full(len(lr), 1.0 / len(lr))
-    if mode == "grid":
-        if grid is None or grid_weights is None:
-            raise DomainError("grid mode needs nodes and weights")
-        lr = np.asarray(ratio.log(grid), dtype=float)
-        q = np.exp(np.asarray(model.log_density(grid), dtype=float))
-        return lr, grid_weights * q
-    raise DomainError(f"unknown mode {mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # Sampling and finite refinement
 # ---------------------------------------------------------------------------
@@ -410,19 +391,27 @@ def refine(
     eps: float = 1e-12,
     n: int = 10000,
     rng: np.random.Generator | None = None,
-    grid: np.ndarray | None = None,
-    grid_weights: np.ndarray | None = None,
 ) -> tuple[AcceptanceSpec, ScaleSolution]:
     """One-call pipeline: ratio, model view, ``calibrate``, acceptance spec.
 
-    The envelope and the slack share one view of the model (its atoms in
-    exact mode, a single calibration sample of n >= 2 draws in sample mode,
-    the quadrature grid in grid mode), so a seeded run is fully
-    reproducible. A budgeted rate more than eps from 1/budget raises
+    The envelope and the slack share one view of the model: its atoms in
+    exact mode, the default ``pair_view`` trapezoid grid of a 1-d mixture
+    pair in quadrature mode, a single calibration sample of n >= 2 draws in
+    sample mode (a single draw is its own envelope), so a seeded run is
+    fully reproducible. A budgeted rate more than eps from 1/budget raises
     ConvergenceError.
     """
     ratio = ratio_of(target, model)
-    lr, weights = _model_view(model, ratio, mode, n, rng, grid, grid_weights)
+    if mode == "sample":
+        if rng is None:
+            raise DomainError("sample mode needs an rng")
+        if not n >= 2:
+            raise DomainError(f"sample mode needs at least 2 calibration draws, got {n!r}")
+        lr = np.asarray(ratio.log(model.sample(rng, n)), dtype=float)
+        weights = np.full(len(lr), 1.0 / len(lr))
+    else:
+        _, lp, lq, _, weights = pair_view(target, model, mode)
+        lr = _log_ratio(lp, lq)
     sol = calibrate(lr, weights, budget)
     if sol.status == "unit":
         return AcceptanceSpec.unit(), sol

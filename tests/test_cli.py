@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from obrs import FiniteDist, ObrsError, bimodal_target, gaussian_grid_2d, single_gaussian
-from obrs.cli import _grid2d_metrics, _manifest_schema, _write_manifest, _write_summary, main
+from obrs.cli import _grid2d_metrics, _manifest_schema, _write_json, _write_manifest, main
 
 
 def run_cli(*args) -> int:
@@ -258,10 +258,13 @@ def test_grid2d_single_repeat_writes_standard_json(tmp_path):
 
 def test_non_finite_output_values_raise_obrs_error(tmp_path):
     with pytest.raises(ObrsError, match="summary.json"):
-        _write_summary(tmp_path / "summary.json", {"budget": math.inf})
+        _write_json(tmp_path / "summary.json", {"budget": math.inf})
     assert not (tmp_path / "summary.json").exists()
     with pytest.raises(ObrsError, match="manifest.json"):
-        _write_manifest(tmp_path, "refine", {"budget": math.nan}, None, [], 0.1)
+        # a complete refine config, which the schema accepts, with a NaN budget
+        cfg = {"budget": math.nan, "target_mu": 2.0, "target_sigma": 0.5, "model_mu": 0.0,
+               "model_sigma": 1.5, "nodes": 256, "span": 8.0, "lambda_steps": 5}
+        _write_manifest(tmp_path, "refine", cfg, None, [], 0.1)
     assert not (tmp_path / "manifest.json").exists()
 
 
@@ -277,6 +280,40 @@ def test_rerun_of_infinite_budget_manifest_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
     # the config is checked before the run: no output at all
     assert list(again.glob("*")) == []
+
+
+def _edited_grid2d_manifest(tmp_path, edit):
+    out = tmp_path / "g"
+    assert run_cli(
+        "grid2d", "--seed", 1, "--repeats", 1, "--samples", 100, "--calibration", 500, "--out", out
+    ) == 0
+    manifest = read_manifest(out)
+    edit(manifest["config"])
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(manifest), encoding="utf-8")
+    return bad
+
+
+@pytest.mark.parametrize("repeats", [1.5, 2.0])
+def test_rerun_of_fractional_count_exits_one(tmp_path, capsys, repeats):
+    # JSON Schema reads 2.0 as an integer, but range() does not
+    bad = _edited_grid2d_manifest(tmp_path, lambda cfg: cfg.update(repeats=repeats))
+    again = tmp_path / "again"
+    capsys.readouterr()
+    assert run_cli("rerun", bad, "--out", again) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(repeats) in err
+    assert not again.exists() or list(again.glob("*")) == []
+
+
+def test_rerun_of_manifest_missing_a_config_key_exits_one(tmp_path, capsys):
+    bad = _edited_grid2d_manifest(tmp_path, lambda cfg: cfg.pop("sigma"))
+    again = tmp_path / "again"
+    capsys.readouterr()
+    assert run_cli("rerun", bad, "--out", again) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "sigma" in err
+    assert not again.exists() or list(again.glob("*")) == []
 
 
 @pytest.mark.parametrize("flag", ["--repeats", "--calibration", "--samples"])

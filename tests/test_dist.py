@@ -10,17 +10,30 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from obrs import (
+    AbsoluteContinuityError,
     DomainError,
     FiniteDist,
     GaussianMixture,
+    Generator,
+    SupportMismatchError,
     bimodal_target,
+    budgeted_loss,
+    check_refined_prediction,
     dist_from_json,
+    divergence_finite,
+    divergence_quadrature,
+    dual_value,
     gaussian_grid_2d,
+    max_divergence,
+    pr_curve,
+    pr_point,
     ratio_of,
+    refine,
     single_gaussian,
     spacing_mismatch_pair,
     trapezoid_grid,
 )
+from obrs.dist import pair_view
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +300,115 @@ def test_trapezoid_grid_covers_both(mixture_pair):
     x, _ = trapezoid_grid([target, model], span=8.0)
     assert x[0] <= -2 - 8 * 0.5
     assert x[-1] >= 2 + 8 * 0.5
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"span": math.nan},
+        {"span": math.inf},
+        {"span": 0.0},
+        {"span": -1.0},
+        {"n_nodes": 4096.5},
+        {"n_nodes": 4096.0},
+        {"n_nodes": 1},
+    ],
+)
+def test_trapezoid_grid_rejects_bad_span_and_node_count(mixture_pair, kwargs):
+    with pytest.raises(DomainError):
+        trapezoid_grid(list(mixture_pair), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"span": math.nan}, {"span": math.inf}, {"span": 0.0}, {"span": -1.0}, {"n_nodes": 4096.5}],
+)
+def test_quadrature_entry_points_reject_bad_grids(mixture_pair, kwargs):
+    # these returned nan, plausible wrong values, or a bare TypeError
+    target, model = mixture_pair
+    gen = Generator.gan()
+    calls = [
+        lambda: divergence_quadrature(gen, target, model, **kwargs),
+        lambda: dual_value(gen, lambda x: -np.ones_like(x), target, model, **kwargs),
+        lambda: pr_point(target, model, 1.0, mode="quadrature", **kwargs),
+        lambda: pr_curve(target, model, [0.5, 1.0], mode="quadrature", **kwargs),
+        lambda: budgeted_loss(gen, target, model, 2.0, mode="quadrature", **kwargs),
+        lambda: check_refined_prediction(target, model, 2.0, mode="quadrature", **kwargs),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_trapezoid_grid_takes_numpy_integer_node_count(mixture_pair):
+    x, w = trapezoid_grid(list(mixture_pair), n_nodes=np.int64(64))
+    assert len(x) == len(w) == 64
+
+
+@pytest.mark.parametrize(
+    "pair, n_nodes, span",
+    [
+        ((bimodal_target(), single_gaussian(0.0, 1.5)), 4096, 8.0),
+        (spacing_mismatch_pair(0.4), 1000, 6.5),
+        ((bimodal_target(), single_gaussian(3.0, 0.2)), 257, 12.0),
+    ],
+)
+def test_pair_view_quadrature_is_the_inline_formula(pair, n_nodes, span):
+    target, model = pair
+    x, w = trapezoid_grid([target, model], n_nodes=n_nodes, span=span)
+    lp = target.log_density(x)
+    lq = model.log_density(x)
+    view = pair_view(target, model, "quadrature", n_nodes, span)
+    for got, want in zip(view, (x, lp, lq, w * np.exp(lp), w * np.exp(lq))):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_pair_view_exact_is_log_masses():
+    target = FiniteDist(["a", "b", "c"], [0.5, 0.5, 0.0])
+    model = FiniteDist(["a", "b", "c"], [0.25, 0.0, 0.75])
+    x, lp, lq, pw, qw = pair_view(target, model, "exact")
+    np.testing.assert_array_equal(x, [0, 1, 2])
+    np.testing.assert_array_equal(lp, [math.log(0.5), math.log(0.5), -math.inf])
+    np.testing.assert_array_equal(lq, [math.log(0.25), -math.inf, math.log(0.75)])
+    assert pw is target.probs and qw is model.probs
+
+
+_VANISHING = (FiniteDist([0, 1], [0.5, 0.5]), FiniteDist([0, 1], [1.0, 0.0]))
+_MISMATCHED = (FiniteDist([0, 1], [0.5, 0.5]), FiniteDist([0, 2], [0.5, 0.5]))
+_MIXTURES = (bimodal_target(), single_gaussian(0.0, 1.5))
+_KL = Generator.kl()
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        # a model that vanishes under target mass
+        (lambda: budgeted_loss(_KL, *_VANISHING, 2.0), DomainError),
+        (lambda: check_refined_prediction(*_VANISHING, 2.0), DomainError),
+        (lambda: refine(*_VANISHING, 2.0), DomainError),
+        (lambda: divergence_finite(_KL, *_VANISHING), AbsoluteContinuityError),
+        # different atom lists
+        (lambda: budgeted_loss(_KL, *_MISMATCHED, 2.0), SupportMismatchError),
+        (lambda: check_refined_prediction(*_MISMATCHED, 2.0), SupportMismatchError),
+        (lambda: refine(*_MISMATCHED, 2.0), SupportMismatchError),
+        (lambda: divergence_finite(_KL, *_MISMATCHED), SupportMismatchError),
+        (lambda: pr_point(*_MISMATCHED, 1.0), SupportMismatchError),
+        (lambda: pr_curve(*_MISMATCHED, [1.0]), SupportMismatchError),
+        (lambda: dual_value(_KL, np.zeros_like, *_MISMATCHED), SupportMismatchError),
+        # families the mode does not take
+        (lambda: budgeted_loss(_KL, *_MIXTURES, 2.0), DomainError),
+        (lambda: budgeted_loss(_KL, *_VANISHING, 2.0, mode="quadrature"), DomainError),
+        (lambda: check_refined_prediction(*_MIXTURES, 2.0), DomainError),
+        (lambda: refine(*_MIXTURES, 2.0), DomainError),
+        (lambda: pr_point(*_MIXTURES, 1.0), DomainError),
+        (lambda: pr_curve(*_MIXTURES, [1.0]), DomainError),
+        (lambda: dual_value(_KL, np.zeros_like, _VANISHING[0], _MIXTURES[1]), SupportMismatchError),
+        (lambda: max_divergence(_VANISHING[0], _MIXTURES[1]), SupportMismatchError),
+    ],
+)
+def test_pair_view_callers_keep_their_error_types(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_bimodal_target_mass_between_modes():

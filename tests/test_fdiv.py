@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from obrs import (
@@ -194,6 +196,56 @@ def test_divergence_support_mismatch():
 
     with pytest.raises(SupportMismatchError):
         divergence_finite(Generator.kl(), a, b)
+
+
+def _u_form_reference(gen, p, q):
+    """sum_x q f(p/q) through the pointwise map, with the tv/pr u -> inf limits."""
+    terms = []
+    for pi, qi in zip(p.tolist(), q.tolist()):
+        if qi > 0:
+            terms.append(qi * f_value(gen, pi / qi))
+        elif pi > 0:
+            terms.append(0.5 * pi if gen.kind == "tv" else gen.lam * pi)
+    return math.fsum(terms)
+
+
+_generators = st.sampled_from(["kl", "reverse_kl", "tv", "gan", "pr"]).flatmap(
+    lambda kind: st.floats(0.05, 20.0).map(Generator.precision_recall)
+    if kind == "pr" else st.just(Generator(kind))
+)
+
+
+@st.composite
+def _finite_pairs(draw):
+    # integer masses, zero half the time on either side; ratios up to about 1e4
+    n = draw(st.integers(1, 12))
+    mass = st.one_of(st.just(0), st.integers(1, 1000))
+    counts = st.lists(mass, min_size=n, max_size=n).filter(lambda c: sum(c) > 0)
+    p, q = (np.asarray(draw(counts), dtype=float) for _ in range(2))
+    atoms = list(range(n))
+    return FiniteDist(atoms, p / p.sum()), FiniteDist(atoms, q / q.sum())
+
+
+_HEAVY = (FiniteDist([0, 1, 2], [0.5, 0.5, 0.0]), FiniteDist([0, 1, 2], [0.0, 0.25, 0.75]))
+
+
+@settings(max_examples=300)
+@given(gen=_generators, pair=_finite_pairs())
+@example(gen=Generator.total_variation(), pair=_HEAVY)
+@example(gen=Generator.precision_recall(3.0), pair=_HEAVY)
+@example(gen=Generator.kl(), pair=_HEAVY)
+@example(gen=Generator.reverse_kl(), pair=_HEAVY)
+@example(gen=Generator.gan(), pair=_HEAVY)
+def test_kernel_divergence_matches_u_form_reference(gen, pair):
+    target, model = pair
+    p, q = target.probs, model.probs
+    if gen.kind not in ("tv", "pr") and np.any((q == 0) & (p > 0)):
+        with pytest.raises(AbsoluteContinuityError):
+            divergence_finite(gen, target, model)
+        return
+    got = divergence_finite(gen, target, model).value
+    ref = _u_form_reference(gen, p, q)
+    assert got == ref or abs(got - ref) <= 1e-14, (got, ref)
 
 
 # ---------------------------------------------------------------------------

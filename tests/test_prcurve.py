@@ -137,7 +137,7 @@ def test_scan_matches_fsum_reference_on_refine_grid(budget):
     # the obrs refine defaults: bimodal pair, 4096 nodes, 201 thresholds at the knee
     target, model = bimodal_target(), single_gaussian(0.0, 1.5)
     x, w = trapezoid_grid([target, model], n_nodes=4096, span=8.0)
-    spec, sol = refine(target, model, budget, mode="grid", grid=x, grid_weights=w)
+    spec, sol = refine(target, model, budget, mode="quadrature")
     log_scale = spec.log_scale if sol.status == "budgeted" else 0.0
     lams = default_lambda_grid(math.exp(log_scale - spec.log_sup), n=201)
     curve = pr_curve(target, model, lams, mode="quadrature")

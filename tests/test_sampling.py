@@ -26,7 +26,6 @@ from obrs import (
     refined_finite,
     rejection_sample,
     single_gaussian,
-    trapezoid_grid,
 )
 from obrs.fdiv import Generator
 from obrs.sampling import _solve_log_shift
@@ -48,12 +47,11 @@ def test_sup_ratio_exact(two_point):
 
 
 def test_sup_ratio_modes_agree(mixture_pair, rng):
-    # grid and sample calibration both probe the same envelope; with a dense
+    # quadrature and sample calibration both probe the same envelope; with a dense
     # grid and a big sample they agree to a percent (either can sit closer
     # to the true maximizer)
     target, model = mixture_pair
-    x, w = trapezoid_grid([target, model])
-    grid_sup = refine(target, model, 2.0, mode="grid", grid=x, grid_weights=w)[1].sup_ratio
+    grid_sup = refine(target, model, 2.0, mode="quadrature")[1].sup_ratio
     sample_sup = refine(target, model, 2.0, mode="sample", n=5000, rng=rng)[1].sup_ratio
     assert sample_sup == pytest.approx(grid_sup, rel=0.01)
 
@@ -128,8 +126,7 @@ def test_extreme_mismatch_saturates_but_solves():
     # log-space solution is still exact
     target = bimodal_target()
     model = single_gaussian(3.0, 0.2)
-    x, w = trapezoid_grid([target, model])
-    spec, sol = refine(target, model, 2.0, mode="grid", grid=x, grid_weights=w, eps=1e-9)
+    spec, sol = refine(target, model, 2.0, mode="quadrature", eps=1e-9)
     assert abs(sol.rate - 0.5) <= 1e-9
     assert math.isfinite(spec.log_scale) or spec.scale == math.inf
 
@@ -170,9 +167,7 @@ def test_unbudgeted_spec_is_classical_thinning(two_point):
 
 def test_acceptance_clips_at_one(mixture_pair):
     target, model = mixture_pair
-    spec, _ = refine(target, model, 2.0, mode="grid",
-                     grid=trapezoid_grid([target, model])[0],
-                     grid_weights=trapezoid_grid([target, model])[1])
+    spec, _ = refine(target, model, 2.0, mode="quadrature")
     xs = np.linspace(-6, 6, 201)
     a = spec.accept_prob(xs)
     assert np.all(a <= 1.0) and np.all(a >= 0.0)
@@ -209,8 +204,7 @@ def test_refine_sample_mode_tracks_exact(mixture_pair, rng):
     spec, sol = refine(target, model, 2.0, mode="sample", n=20000, rng=rng)
     assert sol.status == "budgeted"
     assert abs(sol.rate - 0.5) <= 1e-6
-    x, w = trapezoid_grid([target, model])
-    gspec, gsol = refine(target, model, 2.0, mode="grid", grid=x, grid_weights=w)
+    gspec, gsol = refine(target, model, 2.0, mode="quadrature")
     # calibration noise only: the two acceptance functions roughly agree
     xs = np.linspace(-4, 4, 9)
     np.testing.assert_allclose(spec.accept_prob(xs), gspec.accept_prob(xs), rtol=0.2)
@@ -355,3 +349,33 @@ def test_rejection_sample_positive_rate_table_on_zero_mass_atom():
         res = rejection_sample(model, spec, 200, np.random.default_rng(12))
     assert res.accepted == 200
     assert set(res.samples) <= {0, 1}
+
+
+@pytest.mark.parametrize(
+    "log_sup, log_scale",
+    [
+        (math.nan, 0.0),  # accepted every proposal
+        (0.0, math.nan),  # accepted every proposal
+        (math.inf, 0.0),  # accepted none
+        (-math.inf, 0.0),
+        (0.0, -math.inf),  # accepted none
+    ],
+)
+def test_clipped_spec_rejects_parameters_that_cannot_be_right(mixture_pair, log_sup, log_scale):
+    ratio = ratio_of(*mixture_pair)
+    with pytest.raises(DomainError):
+        AcceptanceSpec.clipped(ratio, log_sup, log_scale)
+
+
+def test_mixture_sampling_with_a_never_accepting_spec_stops():
+    # a mixture model has no exact rate to check, so such a spec looped forever
+    target, model = bimodal_target(), single_gaussian(0.0, 1.5)
+    rng = np.random.default_rng(13)
+    with _time_limit(5.0), pytest.raises(DomainError):
+        spec = AcceptanceSpec.clipped(ratio_of(target, model), 0.0, -math.inf)
+        rejection_sample(model, spec, 10, rng)
+
+
+def test_clipped_spec_keeps_infinite_slack_as_accept_all(mixture_pair):
+    spec = AcceptanceSpec.clipped(ratio_of(*mixture_pair), 1.0, math.inf)
+    np.testing.assert_array_equal(spec.accept_prob(np.linspace(-5, 5, 11)), np.ones(11))
