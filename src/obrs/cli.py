@@ -35,7 +35,6 @@ from .dist import (
     bimodal_target,
     dist_from_json,
     gaussian_grid_2d,
-    pair_view,
     ratio_of,
     single_gaussian,
 )
@@ -62,12 +61,11 @@ from .oracle import (
     check_kl_renyi_bound,
     random_instance,
 )
-from .prcurve import default_lambda_grid, pr_curve, predict_refined_curve
+from .prcurve import _knee_grid, _pr_scan, predict_refined_curve
 from .sampling import (
     AcceptanceSpec,
-    _log_accept,
+    _calibrated_view,
     _solve_log_shift,
-    calibrate,
     refine,
     rejection_sample,
 )
@@ -206,11 +204,12 @@ def run_refine(cfg: dict, out: Path) -> list[str]:
     budget = cfg["budget"]
     target = bimodal_target(cfg["target_mu"], cfg["target_sigma"])
     model = single_gaussian(cfg["model_mu"], cfg["model_sigma"])
-    x, lp, lq, _, qw = pair_view(target, model, "quadrature", cfg["nodes"], cfg["span"])
-    sol = calibrate(lp - lq, qw, budget)
-    rel = lp - lq - sol.log_sup
-    a_unbudgeted = np.exp(_log_accept(rel, 0.0))
-    a_budgeted = np.exp(_log_accept(rel, sol.log_scale))
+    (x, lp, lq, pw, qw), sol, log_a = _calibrated_view(
+        target, model, budget, "quadrature", cfg["nodes"], cfg["span"]
+    )
+    # c = 1: min(r / M, 1)
+    a_unbudgeted = np.exp(np.fmin(lp - lq - sol.log_sup, 0.0))
+    a_budgeted = np.exp(log_a)
     k_eff = 1.0 / sol.rate
     refined = np.exp(lq) * a_budgeted * k_eff
     _write_csv(
@@ -224,10 +223,7 @@ def run_refine(cfg: dict, out: Path) -> list[str]:
         ["x", "accept_unbudgeted", "accept_budgeted"],
         [[float(xi), float(au), float(ab)] for xi, au, ab in zip(x, a_unbudgeted, a_budgeted)],
     )
-    # thresholds around the clipping knee; at budget 1 around the unbudgeted one
-    knee = math.exp((0.0 if sol.status == "unit" else sol.log_scale) - sol.log_sup)
-    lams = default_lambda_grid(knee, n=cfg["lambda_steps"])
-    base = pr_curve(target, model, lams, mode="quadrature", n_nodes=cfg["nodes"], span=cfg["span"])
+    base = _pr_scan(pw, qw, _knee_grid(sol, cfg["lambda_steps"]))
     pred = predict_refined_curve(base, k_eff, sol.scale, sol.sup_ratio)
     _write_csv(
         out / "prcurve.csv",
@@ -409,7 +405,7 @@ def run_grid2d(cfg: dict, out: Path) -> list[str]:
     log_c, cal_rate = _solve_log_shift(lr_cal - log_sup, cal_w, rate)
     specs = {
         "baseline": AcceptanceSpec.unit(),
-        "obrs": AcceptanceSpec.clipped(ratio, log_sup, log_c, budget=1.0 / rate),
+        "obrs": AcceptanceSpec.clipped(ratio, log_sup, log_c),
         "drs": AcceptanceSpec.clipped(ratio, log_sup, log_c),
     }
 
@@ -631,17 +627,27 @@ def _budget_of_rate(rate: float) -> float:
 
 
 # counts a run needs at least one of
-_COUNTS = {"grid2d": ("samples", "repeats", "calibration"), "sample": ("samples", "calibration")}
+_COUNTS = {
+    "generators": ("u_steps",),
+    "refine": ("lambda_steps",),
+    "landscape": ("theta_steps",),
+    "fit": ("mu_steps", "sigma_steps"),
+    "grid2d": ("samples", "repeats", "calibration"),
+    "sample": ("samples", "calibration"),
+}
 
 
 def _check_config(command: str, cfg: dict) -> None:
     """Reject a configuration no run can use, before any output is written."""
     if "rate" in cfg:
         _budget_of_rate(cfg["rate"])
-    if "budget" in cfg and not 1 <= cfg["budget"] < math.inf:  # also rejects NaN
-        # the library reads budget=inf as unbudgeted, but a run's JSON
-        # outputs cannot record a non-finite value
-        raise DomainError(f"budget must be a finite number >= 1, got {cfg['budget']!r}")
+    if "budgets" in cfg and not cfg["budgets"]:
+        raise DomainError("budgets must list at least one budget")
+    for budget in cfg.get("budgets", [cfg["budget"]] if "budget" in cfg else []):
+        if not 1 <= budget < math.inf:  # also rejects NaN
+            # the library reads budget=inf as unbudgeted, but a run's JSON
+            # outputs cannot record a non-finite value
+            raise DomainError(f"budget must be a finite number >= 1, got {budget!r}")
     for key in _COUNTS.get(command, ()):
         if not cfg[key] >= 1:
             raise DomainError(f"{key} must be at least 1, got {cfg[key]!r}")

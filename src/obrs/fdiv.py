@@ -417,8 +417,9 @@ def renyi_divergence(order: float, target: FiniteDist, model: FiniteDist) -> flo
     return float(logsumexp(order * lp[live] + (1.0 - order) * lq[live]) / (order - 1.0))
 
 
-def max_divergence(target: Distribution, model: Distribution, grid: np.ndarray | None = None) -> float:
-    """log sup_x target(x)/model(x): exact on finite supports, grid sup otherwise."""
+def max_divergence(target: Distribution, model: Distribution) -> float:
+    """log sup_x target(x)/model(x): exact on finite supports, the sup over
+    the default ``pair_view`` grid for 1-d mixtures (2-d ones raise DomainError)."""
     if isinstance(target, FiniteDist) and isinstance(model, FiniteDist):
         _, lp, lq, p, q = pair_view(target, model, "exact")
         bad = np.flatnonzero((q == 0) & (p > 0))
@@ -431,13 +432,8 @@ def max_divergence(target: Distribution, model: Distribution, grid: np.ndarray |
             raise DomainError("target has no mass")
         return float(np.max(lp[live] - lq[live]))
     if isinstance(target, GaussianMixture) and isinstance(model, GaussianMixture):
-        if grid is not None:
-            lp, lq = target.log_density(grid), model.log_density(grid)
-        elif target.dim != 1:
-            raise DomainError("supply an explicit grid for mixtures above 1-d")
-        else:
-            _, lp, lq, _, _ = pair_view(target, model, "quadrature")
-        return float(np.max(np.asarray(lp, dtype=float) - np.asarray(lq, dtype=float)))
+        _, lp, lq, _, _ = pair_view(target, model, "quadrature")
+        return float(np.max(lp - lq))
     raise SupportMismatchError("max_divergence needs two finite or two mixture distributions")
 
 

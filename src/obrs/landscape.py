@@ -16,11 +16,11 @@ fixed node count that spans each (target, model) pair's own support, so
 the nodes move with the model. Within one loss evaluation the same grid
 feeds the slack solver and the divergence, and a given pair gets the same
 grid at every budget, so comparisons across budgets are internally
-consistent. Exact and quadrature losses share one path: ``dist.pair_view``
-gives the weighted view of the pair, ``sampling.calibrate`` the acceptance
-on it, and the single f-divergence kernel ``fdiv._fdiv_terms`` the
-integrand, evaluated from log-densities, which keeps lattice corners with
-log-ratios of several hundred finite.
+consistent. Exact and quadrature losses share one path:
+``sampling._calibrated_view`` gives the weighted view of the pair and the
+calibrated acceptance on it, and the single f-divergence kernel
+``fdiv._fdiv_terms`` the integrand, evaluated from log-densities, which
+keeps lattice corners with log-ratios of several hundred finite.
 """
 
 from __future__ import annotations
@@ -29,17 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import (
-    FiniteDist,
-    GaussianMixture,
-    _log_ratio,
-    bimodal_target,
-    pair_view,
-    single_gaussian,
-    spacing_mismatch_pair,
-)
+from .dist import FiniteDist, bimodal_target, single_gaussian, spacing_mismatch_pair
 from .fdiv import Generator, _acceptance_loss, _fsum, divergence_finite
-from .sampling import _log_accept, calibrate, refine, refined_finite
+from .sampling import _calibrated_view, refine, refined_finite
 
 THETA_GRID_DEFAULT = np.linspace(0.1, 2.5, 241)
 FIT_MU_GRID_DEFAULT = np.linspace(-3.0, 3.0, 121)
@@ -72,10 +64,7 @@ def budgeted_loss(
     """
     # log-densities computed once feed both the calibration and the
     # integrand: this body runs tens of thousands of times across a fit lattice
-    _, lp, lq, pw, qw = pair_view(target, model, mode, n_nodes, span)
-    lr = _log_ratio(lp, lq)
-    sol = calibrate(lr, qw, budget)
-    log_a = _log_accept(lr - sol.log_sup, sol.log_scale)
+    (_, lp, lq, pw, qw), _, log_a = _calibrated_view(target, model, budget, mode, n_nodes, span)
     return _acceptance_loss(gen, lp, lq, pw, qw, log_a, _fsum if mode == "exact" else np.sum)
 
 
@@ -178,17 +167,16 @@ class FitResult:
 def fit_grid(
     gen: Generator | None = None,
     budget: float = 1.0,
-    target: GaussianMixture | None = None,
     mus: np.ndarray | None = None,
     sigmas: np.ndarray | None = None,
     n_nodes: int = 4096,
     span: float = 8.0,
 ) -> FitResult:
     """Exhaustive (mu, sigma) lattice search for the best single-Gaussian
-    proposal at a given budget. Ties resolve to the lowest flat index
-    (mu-major, then sigma)."""
+    proposal to the ``bimodal_target`` at a given budget. Ties resolve to the
+    lowest flat index (mu-major, then sigma)."""
     gen = gen or Generator.gan()
-    target = target if target is not None else bimodal_target()
+    target = bimodal_target()
     mus = FIT_MU_GRID_DEFAULT if mus is None else np.asarray(mus, dtype=float)
     sigmas = FIT_SIGMA_GRID_DEFAULT if sigmas is None else np.asarray(sigmas, dtype=float)
     losses = np.empty((len(mus), len(sigmas)))

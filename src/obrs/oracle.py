@@ -17,19 +17,21 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .dist import FiniteDist, pair_view
-from .errors import DomainError
+from .errors import DomainError, OutOfBallError
 from .fdiv import (
     GENERATOR_PANEL,
     Generator,
     _acceptance_loss,
     _fsum,
     divergence_finite,
-    max_divergence,
     renyi_divergence,
 )
 from .sampling import AcceptanceSpec, acceptance_from_target, refine, refined_finite
 
-_FLOOR = 1e-4
+_FLOOR = 1e-4  # least mass of an atom in a random instance
+_ACCEPT_FLOOR = 1e-6  # least acceptance of a random competitor
+_RATE_TOL = 1e-9  # how far a random competitor's rate may miss 1/K
+_BOUND_TOL = 1e-10  # slack allowed on a bound's inequality
 
 
 # ---------------------------------------------------------------------------
@@ -38,62 +40,58 @@ _FLOOR = 1e-4
 
 
 def random_instance(
-    rng: np.random.Generator, n_atoms: int | None = None, floor: float = _FLOOR
+    rng: np.random.Generator, n_atoms: int | None = None
 ) -> tuple[FiniteDist, FiniteDist]:
     """A random finite target/model pair on a shared support.
 
-    Both probability vectors are Dirichlet draws floored at ``floor`` and
+    Both probability vectors are Dirichlet draws floored at 1e-4 and
     renormalized, so every atom carries mass on both sides and all ratios
-    stay in [floor-ish, 1/floor-ish].
+    stay in [1e-4-ish, 1e4-ish].
     """
     n = int(n_atoms) if n_atoms is not None else int(rng.integers(3, 33))
     atoms = list(range(n))
     dists = []
     for _ in range(2):
-        v = np.maximum(rng.dirichlet(np.ones(n)), floor)
+        v = np.maximum(rng.dirichlet(np.ones(n)), _FLOOR)
         dists.append(FiniteDist(atoms, v / math.fsum(v.tolist())))
     return dists[0], dists[1]
 
 
 def random_feasible_acceptance(
-    model: FiniteDist,
-    budget: float,
-    rng: np.random.Generator,
-    floor: float = 1e-6,
-    rate_tol: float = 1e-9,
+    model: FiniteDist, budget: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """A random acceptance vector with E_model[a] = 1/budget to ``rate_tol``.
+    """A random acceptance vector in [1e-6, 1] with E_model[a] = 1/budget to 1e-9.
 
     Starts from uniform noise, pulls it onto the rate constraint
     multiplicatively, then finishes with exact water-filling moves (raising
-    everything toward 1 or lowering toward ``floor`` proportionally to the
-    available headroom), which hit the constraint in one or two passes.
+    everything toward 1 or lowering toward the 1e-6 floor proportionally to
+    the available headroom), which hit the constraint in one or two passes.
     """
     if not budget >= 1:  # also rejects NaN
         raise DomainError("budget must be at least 1")
     q = model.probs
     tau = 1.0 / budget
-    if tau < floor:
+    if tau < _ACCEPT_FLOOR:
         raise DomainError("budget too large for the acceptance floor")
-    a = rng.uniform(floor, 1.0, len(q))
+    a = rng.uniform(_ACCEPT_FLOOR, 1.0, len(q))
     for _ in range(3):
         s = float(np.dot(q, a))
-        a = np.clip(a * (tau / s), floor, 1.0)
+        a = np.clip(a * (tau / s), _ACCEPT_FLOOR, 1.0)
     for _ in range(4):
         s = math.fsum((q * a).tolist())
         delta = tau - s
-        if abs(delta) <= rate_tol:
+        if abs(delta) <= _RATE_TOL:
             return a
         if delta > 0:
             head = 1.0 - a
             room = float(np.dot(q, head))
             a = a + head * (delta / room)
         else:
-            head = a - floor
+            head = a - _ACCEPT_FLOOR
             room = float(np.dot(q, head))
             a = a - head * (-delta / room)
     s = math.fsum((q * a).tolist())
-    if abs(s - tau) > rate_tol:
+    if abs(s - tau) > _RATE_TOL:
         raise DomainError(f"could not hit rate {tau} (got {s})")
     return a
 
@@ -130,7 +128,6 @@ def check_optimality(
     target: FiniteDist,
     model: FiniteDist,
     budget: float,
-    gens: tuple[Generator, ...] = GENERATOR_PANEL,
     trials: int = 1000,
     rng: np.random.Generator | None = None,
     tol: float = 1e-9,
@@ -138,13 +135,15 @@ def check_optimality(
     """Throw ``trials`` random same-rate acceptances at every generator at once.
 
     The solved acceptance is computed once; each random competitor is
-    evaluated under every generator in the panel, so a single sweep tests
-    that one acceptance function is simultaneously optimal for all of them.
+    evaluated under every generator of ``GENERATOR_PANEL``, so a single
+    sweep tests that one acceptance function is simultaneously optimal for
+    all of them.
     """
     if rng is None:
         raise DomainError("check_optimality needs an rng")
     spec, _ = refine(target, model, budget, mode="exact")
     ref = refined_finite(model, spec)
+    gens = GENERATOR_PANEL
     refined_losses = {
         g.label: divergence_finite(g, target, ref.dist).value for g in gens
     }
@@ -205,7 +204,7 @@ def check_improvement_bound(
     target: FiniteDist,
     model: FiniteDist,
     budget: float,
-    tol: float = 1e-10,
+    tol: float = _BOUND_TOL,
 ) -> BoundReport:
     """Verify: refined divergence <= (1 - min(1, (K-1)/M)) * base divergence.
 
@@ -216,10 +215,10 @@ def check_improvement_bound(
     """
     shift = -gen.f_at_one
     base = divergence_finite(gen, target, model).value + shift
-    spec, _ = refine(target, model, budget, mode="exact")
+    spec, sol = refine(target, model, budget, mode="exact")
     ref = refined_finite(model, spec)
     lhs = divergence_finite(gen, target, ref.dist).value + shift
-    sup = math.exp(max_divergence(target, model))
+    sup = math.exp(sol.log_sup)
     alpha = min(1.0, (budget - 1.0) / sup)
     rhs = (1.0 - alpha) * base
     witness = model.probs + alpha * (target.probs - model.probs)
@@ -262,9 +261,7 @@ class KLRenyiReport:
     limit_case: str | None  # "unit_budget" | "budget_covers_ratio" | None
 
 
-def check_kl_renyi_bound(
-    target: FiniteDist, model: FiniteDist, budget: float, tol: float = 1e-10
-) -> KLRenyiReport:
+def check_kl_renyi_bound(target: FiniteDist, model: FiniteDist, budget: float) -> KLRenyiReport:
     """Evaluate the KL-specific bound (1-b)*(KL - Renyi_b), b = logK/logM.
 
     The geometric-mixture witness proportional to p^b * q^(1-b) is also
@@ -273,10 +270,10 @@ def check_kl_renyi_bound(
     """
     kl_gen = Generator.kl()
     kl = divergence_finite(kl_gen, target, model).value
-    spec, _ = refine(target, model, budget, mode="exact")
+    spec, sol = refine(target, model, budget, mode="exact")
     ref = refined_finite(model, spec)
     lhs = divergence_finite(kl_gen, target, ref.dist).value
-    log_sup = max_divergence(target, model)
+    log_sup = sol.log_sup
     p, q = target.probs, model.probs
     live = (p > 0) & (q > 0)
     limit_case = None
@@ -310,7 +307,7 @@ def check_kl_renyi_bound(
         renyi=renyi,
         lhs=lhs,
         rhs=rhs,
-        satisfied=bool(lhs <= rhs + tol),
+        satisfied=bool(lhs <= rhs + _BOUND_TOL),
         witness_feasible=bool(np.max(excess) <= 1e-12),
         witness_max_excess=float(np.max(excess)),
         limit_case=limit_case,
@@ -333,43 +330,25 @@ class BallReport:
     acceptance: AcceptanceSpec | None  # realizing table when member
 
 
-def check_ball_membership(
-    candidate: FiniteDist, model: FiniteDist, budget: float, tol: float = 1e-12
-) -> BallReport:
+def check_ball_membership(candidate: FiniteDist, model: FiniteDist, budget: float) -> BallReport:
     """Exact membership test for the budget ball around the model.
 
     A candidate is a member iff candidate <= budget * model atomwise
-    (equivalently its max-divergence from the model is at most log budget);
-    membership comes with the acceptance table that realizes it at rate
-    exactly 1/budget.
+    (equivalently its max-divergence from the model is at most log budget),
+    which ``acceptance_from_target`` decides: membership comes with the
+    acceptance table that realizes it at rate exactly 1/budget, and the
+    witness of a non-member is the first atom that table cannot reach.
     """
-    if not budget >= 1:  # also rejects NaN
-        raise DomainError("budget must be at least 1")
-    c, q = candidate.probs, model.probs
-    orphan = np.flatnonzero((q == 0) & (c > 0))
-    if orphan.size:
-        return BallReport(
-            member=False,
-            max_log_ratio=math.inf,
-            log_budget=math.log(budget),
-            witness_atom=int(orphan[0]),
-            acceptance=None,
-        )
-    max_log = max_divergence(candidate, model)
-    over = np.flatnonzero(c > budget * q * (1.0 + tol) + 0.0)
-    if over.size:
-        return BallReport(
-            member=False,
-            max_log_ratio=max_log,
-            log_budget=math.log(budget),
-            witness_atom=int(over[0]),
-            acceptance=None,
-        )
-    spec = acceptance_from_target(candidate, model, budget)
+    try:
+        spec, witness = acceptance_from_target(candidate, model, budget), None
+    except OutOfBallError as exc:
+        spec, witness = None, exc.atom_index
+    _, lc, lq, c, _ = pair_view(candidate, model, "exact")
+    live = c > 0
     return BallReport(
-        member=True,
-        max_log_ratio=max_log,
+        member=spec is not None,
+        max_log_ratio=float(np.max(lc[live] - lq[live])),  # inf at an orphan atom
         log_budget=math.log(budget),
-        witness_atom=None,
+        witness_atom=witness,
         acceptance=spec,
     )

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Distribution, _log_ratio, pair_view, ratio_of
+from .dist import Distribution, pair_view, ratio_of
 from .errors import DomainError
-from .sampling import ScaleSolution, _log_accept, calibrate
+from .sampling import ScaleSolution, _calibrated_view
 
 
 @dataclass(frozen=True)
@@ -170,10 +170,20 @@ def pr_curve(
 
 
 def default_lambda_grid(center: float, n: int = 201, decades: float = 3.0) -> np.ndarray:
-    """Log-spaced thresholds around ``center`` (use sup_ratio/scale: the knee)."""
+    """Log-spaced thresholds around ``center`` (use scale/sup_ratio: the knee)."""
     if center <= 0 or not math.isfinite(center):
         raise DomainError("grid center must be positive and finite")
     return np.logspace(math.log10(center) - decades, math.log10(center) + decades, n)
+
+
+def _knee_grid(sol: ScaleSolution, n: int) -> np.ndarray:
+    """n log-spaced thresholds around the clipping knee c/M of a calibration.
+
+    At budget 1 the slack is infinite and nothing clips; the grid then
+    centres on the unbudgeted knee 1/M.
+    """
+    log_c = 0.0 if sol.status == "unit" else sol.log_scale
+    return default_lambda_grid(math.exp(log_c - sol.log_sup), n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +249,16 @@ def check_refined_prediction(
     refined distribution explicitly, and compares its curve with
     ``predict_refined_curve`` threshold by threshold. On finite supports
     both paths are exact sums and agree to float roundoff; on 1-d mixture
-    pairs both run on the same quadrature grid.
+    pairs both run on the same quadrature grid. The default thresholds are
+    41 around the clipping knee c/M.
     """
-    _, lp, lq, pw, qw = pair_view(target, model, mode, n_nodes, span)
-    lr = _log_ratio(lp, lq)
-    sol = calibrate(lr, qw, budget)
-    a = np.exp(_log_accept(lr - sol.log_sup, sol.log_scale))
+    (_, _, _, pw, qw), sol, log_a = _calibrated_view(target, model, budget, mode, n_nodes, span)
+    a = np.exp(log_a)
     z = math.fsum((qw * a).tolist())
     if z <= 0:
         raise DomainError("acceptance function kills all model mass")
     k_eff = 1.0 / z
-    base = _pr_scan(pw, qw, _lams_or_default(lams, sol))
+    base = _pr_scan(pw, qw, _knee_grid(sol, 41) if lams is None else lams)
     direct = _pr_scan(pw, qw * a * k_eff, base.lams * k_eff)
     pred = predict_refined_curve(base, k_eff, sol.scale, sol.sup_ratio)
     identity = np.abs(direct.alphas - direct.lams * direct.betas)
@@ -265,13 +274,3 @@ def check_refined_prediction(
         status=sol.status,
     )
 
-
-def _lams_or_default(lams: np.ndarray | None, sol: ScaleSolution) -> np.ndarray:
-    """Default to a log grid straddling the clipping knee sup_ratio/scale."""
-    if lams is not None:
-        return np.asarray(lams, dtype=float)
-    if sol.status == "unit":
-        center = 1.0  # no clipping anywhere: the knee is at +inf
-    else:
-        center = math.exp(sol.log_sup - sol.log_scale)
-    return default_lambda_grid(center, n=41)

@@ -45,7 +45,10 @@ from .errors import (
     DomainError,
     EstimationError,
     OutOfBallError,
+    SupportMismatchError,
 )
+
+_BATCH = 8192  # proposals drawn per round of rejection sampling
 
 
 # ---------------------------------------------------------------------------
@@ -77,35 +80,34 @@ class AcceptanceSpec:
     ratio: RatioFn | None = None
     log_sup: float = 0.0
     log_scale: float = 0.0
-    budget: float | None = None
     table: dict | None = None
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def unit(cls) -> "AcceptanceSpec":
-        return cls(kind="unit", budget=1.0)
+        return cls(kind="unit")
 
     @classmethod
-    def clipped(
-        cls, ratio: RatioFn, log_sup: float, log_scale: float = 0.0, budget: float | None = None
-    ) -> "AcceptanceSpec":
-        """A NaN in either parameter, a non-finite log_sup or a log_scale of
-        -inf raises DomainError: such a spec accepts every proposal or none.
+    def clipped(cls, ratio: RatioFn, log_sup: float, log_scale: float = 0.0) -> "AcceptanceSpec":
+        """A NaN in either parameter, a non-finite log_sup or a slack
+        exp(log_scale) that underflows to 0 (log_scale below about -745, or
+        -inf) raises DomainError: such a spec accepts every proposal, or none
+        with r <= M. The slack solve never goes below log(1/K) > -710.
         log_scale = +inf is the unit acceptance."""
         # both checks are written to fail on NaN
         if not abs(log_sup) < math.inf:
             raise DomainError(f"log envelope must be finite, got {log_sup!r}")
-        if not log_scale > -math.inf:
-            raise DomainError(f"log slack must be above -inf, got {log_scale!r}")
-        return cls(kind="clipped", ratio=ratio, log_sup=log_sup, log_scale=log_scale, budget=budget)
+        if not math.exp(min(log_scale, 0.0)) > 0:
+            raise DomainError(f"log slack {log_scale!r} leaves no acceptance above 0")
+        return cls(kind="clipped", ratio=ratio, log_sup=log_sup, log_scale=log_scale)
 
     @classmethod
-    def from_table(cls, table: dict, budget: float | None = None) -> "AcceptanceSpec":
+    def from_table(cls, table: dict) -> "AcceptanceSpec":
         vals = np.asarray(list(table.values()), dtype=float)
         if np.any(vals < 0) or np.any(vals > 1):
             raise DomainError("table acceptance values must lie in [0, 1]")
-        return cls(kind="table", table=dict(table), budget=budget)
+        return cls(kind="table", table=dict(table))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -252,6 +254,28 @@ def calibrate(log_r, weights, budget: float) -> ScaleSolution:
     return ScaleSolution(log_scale, log_sup, rate, budget, status)
 
 
+def _calibrated_view(
+    target: Distribution,
+    model: Distribution,
+    budget: float,
+    mode: str,
+    n_nodes: int = 4096,
+    span: float = 8.0,
+) -> tuple[tuple, ScaleSolution, np.ndarray]:
+    """The budgeted acceptance on a pair view: (view, sol, log_a).
+
+    view is ``pair_view(target, model, mode, n_nodes, span)``, sol its
+    ``calibrate`` solution at the budget on the model weights, and log_a the
+    log acceptance min(log c + log r - log M, 0) at each point. Every exact
+    and quadrature refined quantity starts from this one chain.
+    """
+    view = pair_view(target, model, mode, n_nodes, span)
+    _, lp, lq, _, qw = view
+    lr = _log_ratio(lp, lq)
+    sol = calibrate(lr, qw, budget)
+    return view, sol, _log_accept(lr - sol.log_sup, sol.log_scale)
+
+
 # ---------------------------------------------------------------------------
 # Sampling and finite refinement
 # ---------------------------------------------------------------------------
@@ -276,11 +300,10 @@ def rejection_sample(
     n_target: int,
     rng: np.random.Generator,
     max_draws: int | None = None,
-    batch_size: int = 8192,
 ) -> SampleResult:
     """Draw proposals from the model until n_target pass a(x)-thinning.
 
-    Deterministic given the rng state (and batch_size). Raises
+    Deterministic given the rng state. Raises
     BudgetExhaustedError, carrying the partial count, if max_draws proposals
     are examined before the quota fills, and DomainError, before any draw,
     if a finite model's exact acceptance rate is 0.
@@ -298,7 +321,7 @@ def rejection_sample(
     draws_used = 0
     examined = 0
     while n_kept < n_target:
-        batch = batch_size
+        batch = _BATCH
         if max_draws is not None:
             batch = min(batch, max_draws - examined)
             if batch <= 0:
@@ -354,12 +377,13 @@ def acceptance_from_target(
 
     Solves candidate = model * a / Z for a with Z = 1/budget. Feasible iff
     the candidate sits inside the budget ball, i.e. candidate <= budget *
-    model atomwise; the first violating atom is reported otherwise.
+    model atomwise; otherwise OutOfBallError carries the first violating
+    atom. A candidate on another atom list raises SupportMismatchError.
     """
     if not budget >= 1:  # also rejects NaN
         raise DomainError("budget must be at least 1")
     if not candidate.same_support(model):
-        raise OutOfBallError("candidate and model must share an atom list", atom_index=-1)
+        raise SupportMismatchError("candidate and model must share one atom list")
     c, q = candidate.probs, model.probs
     orphan = np.flatnonzero((q == 0) & (c > 0))
     if orphan.size:
@@ -380,7 +404,7 @@ def acceptance_from_target(
             atom_index=i,
         )
     table = {atom: float(min(ai, 1.0)) for atom, ai in zip(model.atoms, a)}
-    return AcceptanceSpec.from_table(table, budget=budget)
+    return AcceptanceSpec.from_table(table)
 
 
 def refine(
@@ -396,10 +420,10 @@ def refine(
 
     The envelope and the slack share one view of the model: its atoms in
     exact mode, the default ``pair_view`` trapezoid grid of a 1-d mixture
-    pair in quadrature mode, a single calibration sample of n >= 2 draws in
-    sample mode (a single draw is its own envelope), so a seeded run is
-    fully reproducible. A budgeted rate more than eps from 1/budget raises
-    ConvergenceError.
+    pair in quadrature mode (both through ``_calibrated_view``), a single
+    calibration sample of n >= 2 draws in sample mode (a single draw is its
+    own envelope), so a seeded run is fully reproducible. A budgeted rate
+    more than eps from 1/budget raises ConvergenceError.
     """
     ratio = ratio_of(target, model)
     if mode == "sample":
@@ -408,15 +432,13 @@ def refine(
         if not n >= 2:
             raise DomainError(f"sample mode needs at least 2 calibration draws, got {n!r}")
         lr = np.asarray(ratio.log(model.sample(rng, n)), dtype=float)
-        weights = np.full(len(lr), 1.0 / len(lr))
+        sol = calibrate(lr, np.full(len(lr), 1.0 / len(lr)), budget)
     else:
-        _, lp, lq, _, weights = pair_view(target, model, mode)
-        lr = _log_ratio(lp, lq)
-    sol = calibrate(lr, weights, budget)
+        _, sol, _ = _calibrated_view(target, model, budget, mode)
     if sol.status == "unit":
         return AcceptanceSpec.unit(), sol
     if sol.status == "budgeted" and not abs(sol.rate - 1.0 / budget) <= eps:
         raise ConvergenceError(
             f"rate {sol.rate!r} misses 1/K = {1.0 / budget!r} by more than {eps:g}"
         )
-    return AcceptanceSpec.clipped(ratio, sol.log_sup, sol.log_scale, budget), sol
+    return AcceptanceSpec.clipped(ratio, sol.log_sup, sol.log_scale), sol

@@ -368,3 +368,42 @@ def test_grid2d_metrics_match_norm_reference():
         counts = np.bincount(nearest[close], minlength=len(modes))
         expected = (float(np.mean(close)), float(np.mean(counts >= quota)))
         assert _grid2d_metrics(samples, modes, radius, quota) == expected
+
+
+@pytest.mark.parametrize(
+    "command, key, args",
+    [
+        ("generators", "u_steps", ["--u-steps", 0]),
+        ("refine", "lambda_steps", ["--lambda-steps", 0, "--nodes", 256]),
+        ("landscape", "theta_steps", ["--theta-steps", 0, "--nodes", 256]),
+        ("landscape", "budgets", ["--budgets", ",", "--nodes", 256]),
+        ("fit", "mu_steps", ["--mu-steps", 0, "--nodes", 256]),
+        ("fit", "sigma_steps", ["--sigma-steps", 0, "--nodes", 256]),
+        ("fit", "budgets", ["--budgets", ",", "--nodes", 256]),
+        # wrote landscape.csv and summary.json, then failed on the manifest
+        ("landscape", "budget", ["--budgets", "1,inf", "--theta-steps", 3, "--nodes", 256]),
+    ],
+)
+def test_empty_count_or_budget_list_exits_one(tmp_path, capsys, command, key, args):
+    # these died with a traceback or wrote empty tables and summaries
+    out = tmp_path / "o"
+    assert run_cli(command, *args, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("key, value", [("theta_steps", 0), ("budgets", [])])
+def test_rerun_of_empty_landscape_exits_one(tmp_path, capsys, key, value):
+    out = tmp_path / "l"
+    assert run_cli("landscape", "--theta-steps", 3, "--nodes", 256, "--out", out) == 0
+    manifest = read_manifest(out)
+    manifest["config"][key] = value
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(manifest), encoding="utf-8")
+    again = tmp_path / "again"
+    capsys.readouterr()
+    assert run_cli("rerun", bad, "--out", again) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert list(again.glob("*")) == []

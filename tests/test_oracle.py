@@ -7,6 +7,7 @@ import pytest
 
 from obrs import (
     FiniteDist,
+    acceptance_from_target,
     check_ball_membership,
     check_improvement_bound,
     check_kl_renyi_bound,
@@ -17,6 +18,7 @@ from obrs import (
     refine,
     refined_finite,
 )
+from obrs.errors import SupportMismatchError
 from obrs.fdiv import GENERATOR_PANEL, Generator, max_divergence
 
 
@@ -234,3 +236,18 @@ def test_membership_matches_bound_feasibility(rng):
         witness = FiniteDist(model.atoms, mix / math.fsum(mix.tolist()))
         rep = check_ball_membership(witness, model, budget * (1 + 1e-9))
         assert rep.member, (budget, rep.max_log_ratio)
+
+
+@pytest.mark.parametrize(
+    "candidate",
+    [
+        FiniteDist([0, 1, 2], [0.2, 0.3, 0.5]),  # another length: numpy raised a bare ValueError
+        FiniteDist(["a", "b"], [0.5, 0.5]),  # same length, other labels
+    ],
+)
+def test_candidate_on_another_atom_list_is_a_support_mismatch(candidate):
+    model = FiniteDist([0, 1], [0.5, 0.5])
+    with pytest.raises(SupportMismatchError):
+        check_ball_membership(candidate, model, 2.0)
+    with pytest.raises(SupportMismatchError):
+        acceptance_from_target(candidate, model, 2.0)

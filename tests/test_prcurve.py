@@ -15,6 +15,7 @@ from obrs import (
     default_lambda_grid,
     pr_curve,
     pr_point,
+    prcurve,
     predict_refined_curve,
     ratio_of,
     refine,
@@ -203,6 +204,28 @@ def test_predicted_curve_quadrature(mixture_pair):
     assert rep.max_alpha_err <= 1e-4
     assert rep.max_beta_err <= 1e-4
     assert rep.max_identity_err <= 1e-4
+
+
+@pytest.mark.parametrize("budget", [200.0, 1.0])
+def test_default_thresholds_straddle_the_knee(monkeypatch, budget):
+    # M = 500 and, at K = 200, c = 4 put the knee c/M at 8e-3; a grid
+    # centred on M/c = 125 starts at 0.125 and compares only the saturated
+    # branch. At K = 1 the knee is taken at the unbudgeted 1/M.
+    target = FiniteDist([0, 1], [0.5, 0.5])
+    model = FiniteDist([0, 1], [0.999, 0.001])
+    seen = []
+    predict = prcurve.predict_refined_curve
+
+    def spy(base, k_eff, scale, sup_ratio):
+        seen.append(base.lams)
+        return predict(base, k_eff, scale, sup_ratio)
+
+    monkeypatch.setattr(prcurve, "predict_refined_curve", spy)
+    rep = check_refined_prediction(target, model, budget)
+    knee = (1.0 if rep.status == "unit" else rep.scale) / rep.sup_ratio
+    (lams,) = seen
+    assert np.any(lams < knee) and np.any(lams > knee)
+    assert max(rep.max_alpha_err, rep.max_beta_err) <= 1e-12
 
 
 def test_unit_budget_prediction_is_identity(two_point):

@@ -376,6 +376,23 @@ def test_mixture_sampling_with_a_never_accepting_spec_stops():
         rejection_sample(model, spec, 10, rng)
 
 
+@pytest.mark.parametrize("log_scale", [-1e6, -746.0])
+def test_mixture_sampling_with_an_underflowing_slack_stops(log_scale):
+    # exp(log_scale) is 0: no proposal with r <= M can pass, and the mixture
+    # loop has no exact rate to check, so it looped forever
+    target, model = bimodal_target(), single_gaussian(0.0, 1.5)
+    rng = np.random.default_rng(14)
+    with _time_limit(5.0), pytest.raises(DomainError):
+        spec = AcceptanceSpec.clipped(ratio_of(target, model), 0.0, log_scale)
+        rejection_sample(model, spec, 10, rng)
+
+
+def test_clipped_spec_keeps_the_smallest_solved_slack(mixture_pair):
+    # the slack solve never goes below log(1/K), which is above -709.8 at any finite K
+    spec = AcceptanceSpec.clipped(ratio_of(*mixture_pair), 0.0, -math.log(1.7e308))
+    assert spec.scale > 0
+
+
 def test_clipped_spec_keeps_infinite_slack_as_accept_all(mixture_pair):
     spec = AcceptanceSpec.clipped(ratio_of(*mixture_pair), 1.0, math.inf)
     np.testing.assert_array_equal(spec.accept_prob(np.linspace(-5, 5, 11)), np.ones(11))
