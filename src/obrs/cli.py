@@ -53,7 +53,7 @@ from .landscape import (
     FIT_MU_GRID_DEFAULT,
     FIT_SIGMA_GRID_DEFAULT,
     THETA_GRID_DEFAULT,
-    fit_grid,
+    _fit_grids,
     landscape_1d,
 )
 from .oracle import (
@@ -84,12 +84,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray) -> None:
+    """Write a header and rows; a float ndarray is formatted in one pass.
+
+    Its ``%.17g`` fields and \\r\\n line ends are what the row path writes
+    for the same floats: csv quotes none of them, nan, inf and -0 included.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
+        else:
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -204,33 +213,31 @@ def run_refine(cfg: dict, out: Path) -> list[str]:
     budget = cfg["budget"]
     target = bimodal_target(cfg["target_mu"], cfg["target_sigma"])
     model = single_gaussian(cfg["model_mu"], cfg["model_sigma"])
-    (x, lp, lq, pw, qw), sol, log_a = _calibrated_view(
-        target, model, budget, "quadrature", cfg["nodes"], cfg["span"]
+    (x, lp, lq, pw, qw), [(sol, log_a)] = _calibrated_view(
+        target, model, (budget,), "quadrature", cfg["nodes"], cfg["span"]
     )
     # c = 1: min(r / M, 1)
     a_unbudgeted = np.exp(np.fmin(lp - lq - sol.log_sup, 0.0))
     a_budgeted = np.exp(log_a)
     k_eff = 1.0 / sol.rate
-    refined = np.exp(lq) * a_budgeted * k_eff
+    q = np.exp(lq)
+    refined = q * a_budgeted * k_eff
     _write_csv(
         out / "densities.csv",
         ["x", "target", "model", "refined"],
-        [[float(xi), float(p), float(q), float(t)]
-         for xi, p, q, t in zip(x, np.exp(lp), np.exp(lq), refined)],
+        np.column_stack([x, np.exp(lp), q, refined]),
     )
     _write_csv(
         out / "acceptance.csv",
         ["x", "accept_unbudgeted", "accept_budgeted"],
-        [[float(xi), float(au), float(ab)] for xi, au, ab in zip(x, a_unbudgeted, a_budgeted)],
+        np.column_stack([x, a_unbudgeted, a_budgeted]),
     )
     base = _pr_scan(pw, qw, _knee_grid(sol, cfg["lambda_steps"]))
     pred = predict_refined_curve(base, k_eff, sol.scale, sol.sup_ratio)
     _write_csv(
         out / "prcurve.csv",
         ["lambda_base", "alpha_base", "beta_base", "lambda_refined", "alpha_refined", "beta_refined"],
-        [[float(l), float(a), float(b), float(lr_), float(ar), float(br)]
-         for l, a, b, lr_, ar, br in zip(base.lams, base.alphas, base.betas,
-                                         pred.lams, pred.alphas, pred.betas)],
+        np.column_stack([base.lams, base.alphas, base.betas, pred.lams, pred.alphas, pred.betas]),
     )
     _write_json(out / "summary.json", {
         "budget": budget,
@@ -257,11 +264,12 @@ def run_landscape(cfg: dict, out: Path) -> list[str]:
         gen, thetas, budgets, spacing_target=cfg["spacing_target"],
         n_nodes=cfg["nodes"], span=cfg["span"],
     )
-    rows = []
-    for j, budget in enumerate(surf.budgets):
-        for i, theta in enumerate(surf.thetas):
-            rows.append([budget, float(theta), float(surf.losses[i, j])])
-    _write_csv(out / "landscape.csv", ["budget", "theta", "loss"], rows)
+    # budget-major rows
+    b, t = np.meshgrid(surf.budgets, surf.thetas, indexing="ij")
+    _write_csv(
+        out / "landscape.csv", ["budget", "theta", "loss"],
+        np.column_stack([b.ravel(), t.ravel(), surf.losses.T.ravel()]),
+    )
     counts = surf.minima_counts()
     mono = {}
     for j in range(1, len(surf.budgets)):
@@ -280,21 +288,23 @@ def run_fit(cfg: dict, out: Path) -> list[str]:
     gen = Generator.parse(cfg["gen"])
     mus = np.linspace(cfg["mu_min"], cfg["mu_max"], cfg["mu_steps"])
     sigmas = np.linspace(cfg["sigma_min"], cfg["sigma_max"], cfg["sigma_steps"])
-    rows = []
-    results = {}
-    for budget in cfg["budgets"]:
-        res = fit_grid(
-            gen, budget, mus=mus, sigmas=sigmas, n_nodes=cfg["nodes"], span=cfg["span"]
-        )
-        for i, mu in enumerate(res.mus):
-            for j, sigma in enumerate(res.sigmas):
-                rows.append([budget, float(mu), float(sigma), float(res.losses[i, j])])
-        results[f"{budget:g}"] = {
+    budgets = tuple(cfg["budgets"])
+    fits = _fit_grids(gen, budgets, mus, sigmas, cfg["nodes"], cfg["span"])
+    # budget-major, then mu, then sigma
+    b, m, s = np.meshgrid(budgets, mus, sigmas, indexing="ij")
+    losses = np.stack([res.losses for res in fits])
+    _write_csv(
+        out / "fit.csv", ["budget", "mu", "sigma", "loss"],
+        np.column_stack([b.ravel(), m.ravel(), s.ravel(), losses.ravel()]),
+    )
+    results = {
+        f"{res.budget:g}": {
             "best_mu": res.best_mu,
             "best_sigma": res.best_sigma,
             "best_loss": res.best_loss,
         }
-    _write_csv(out / "fit.csv", ["budget", "mu", "sigma", "loss"], rows)
+        for res in fits
+    }
     _write_json(out / "summary.json", {"generator": gen.label, "argmin": results})
     return ["fit.csv", "summary.json"]
 
@@ -484,9 +494,8 @@ def run_sample(cfg: dict, out: Path) -> list[str]:
         model, spec, cfg["samples"], rng, max_draws=cfg["max_draws"]
     )
     if isinstance(result.samples, np.ndarray):
-        arr = np.atleast_2d(result.samples.T).T  # (n,) -> (n, 1)
-        header = ["x"] if arr.shape[1] == 1 else ["x", "y"]
-        rows = [[float(v) for v in row] for row in arr]
+        rows = np.atleast_2d(result.samples.T).T  # (n,) -> (n, 1)
+        header = ["x"] if rows.shape[1] == 1 else ["x", "y"]
     else:
         header = ["sample"]
         rows = [[s] for s in result.samples]
@@ -535,7 +544,9 @@ def run_rerun(manifest_path: str, out_dir: str) -> None:
     _execute(manifest["command"], manifest["config"], out_dir)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="obrs",
         description="Budgeted rejection sampling: refinement, bounds, landscapes.",
@@ -639,6 +650,8 @@ _COUNTS = {
 
 def _check_config(command: str, cfg: dict) -> None:
     """Reject a configuration no run can use, before any output is written."""
+    if "gen" in cfg:
+        Generator.parse(cfg["gen"])
     if "rate" in cfg:
         _budget_of_rate(cfg["rate"])
     if "budgets" in cfg and not cfg["budgets"]:

@@ -157,22 +157,25 @@ class GaussianMixture:
     def log_density(self, x) -> np.ndarray | float:
         """Log density; exact in log space even deep in the tails."""
         pts = self._points(x)  # (n, dim)
-        # axis by axis on (n, k) arrays avoids (n, k, dim) temporaries; same ops, same bits
+        # axis by axis on component-major (k, n) arrays: no (n, k, dim)
+        # temporaries, and every reduction runs over the long axis. The
+        # elementwise ops are those of the (n, k) formula and the rows are
+        # summed in its order, so the bits are the same.
         sq = None
         for d in range(self.dim):
-            z = pts[:, d:d + 1] - self.means[:, d]
-            z /= self.stds[:, d]
+            z = pts[:, d] - self.means[:, d:d + 1]
+            z /= self.stds[:, d:d + 1]
             z *= z
             sq = z if sq is None else np.add(sq, z, out=sq)
         sq *= 0.5
-        comp = np.subtract(self._log_base, sq, out=sq)
-        if comp.shape[1] == 1:
-            out = comp[:, 0]
+        comp = np.subtract(self._log_base[:, None], sq, out=sq)
+        if len(comp) == 1:
+            out = comp[0]
         else:
-            m = np.max(comp, axis=1)
-            comp -= m[:, None]
+            m = np.max(comp, axis=0)
+            comp -= m
             np.exp(comp, out=comp)
-            out = m + np.log(np.sum(comp, axis=1))
+            out = m + np.log(_pairwise_row_sum(comp))
         return _match_shape(out, x, self.dim)
 
     def density(self, x) -> np.ndarray | float:
@@ -198,6 +201,30 @@ class GaussianMixture:
             "means": self.means.tolist(),
             "stds": self.stds.tolist(),
         }
+
+
+def _pairwise_row_sum(a: np.ndarray) -> np.ndarray:
+    """The rows of a (k, n) array summed as ``np.sum(a.T, axis=1)`` sums them.
+
+    numpy adds a contiguous run of k values in pairwise order: below 8 one
+    after another; up to 128 in 8 strided accumulators, combined as a fixed
+    tree, then the remainder; above 128 as two halves split at a multiple of
+    8. Each step here is that step applied to whole rows at once.
+    """
+    k = len(a)
+    if k < 8:
+        return np.sum(a, axis=0)  # sequential over axis 0
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _pairwise_row_sum(a[:half]) + _pairwise_row_sum(a[half:])
+    top = k - k % 8
+    r = a[:8].copy()
+    for i in range(8, top, 8):
+        r += a[i:i + 8]
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(top, k):
+        s += a[i]
+    return s
 
 
 def _match_shape(out: np.ndarray, x, dim: int):
@@ -288,6 +315,18 @@ def ratio_of(target: Distribution, model: Distribution) -> RatioFn:
 # ---------------------------------------------------------------------------
 
 
+def _at_least_two(n, what: str) -> int:
+    """A count of nodes or draws as an int; anything but an integer >= 2
+    (a float, NaN, 1 or less) raises DomainError."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        n = None
+    if n is None or n < 2:
+        raise DomainError(f"need an integer count of at least 2 {what}, got {n!r}")
+    return n
+
+
 def trapezoid_grid(
     dists: Sequence[GaussianMixture], n_nodes: int = 4096, span: float = 8.0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -301,12 +340,7 @@ def trapezoid_grid(
     """
     if not 0 < span < math.inf:  # also rejects NaN
         raise DomainError(f"span must be a finite positive number, got {span!r}")
-    try:
-        n_nodes = operator.index(n_nodes)
-    except TypeError:
-        raise DomainError(f"node count must be an integer, got {n_nodes!r}") from None
-    if n_nodes < 2:
-        raise DomainError("need at least 2 nodes")
+    n_nodes = _at_least_two(n_nodes, "nodes")
     los, his = [], []
     for d in dists:
         if d.dim != 1:

@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .dist import Distribution, FiniteDist, GaussianMixture, RatioFn, pair_view
+from .dist import Distribution, FiniteDist, GaussianMixture, RatioFn, _at_least_two, pair_view
 from .errors import (
     AbsoluteContinuityError,
     DomainError,
@@ -65,8 +65,8 @@ class Generator:
         if self.kind not in _KINDS:
             raise UnsupportedGeneratorError(f"unknown generator kind {self.kind!r}")
         if self.kind == "pr":
-            if self.lam is None or self.lam <= 0:
-                raise DomainError("pr generator needs lam > 0")
+            if self.lam is None or not 0 < self.lam < math.inf:  # also rejects NaN
+                raise DomainError(f"pr generator needs a finite lam > 0, got {self.lam!r}")
         elif self.lam is not None:
             raise DomainError(f"{self.kind} takes no lam parameter")
 
@@ -346,9 +346,11 @@ def divergence_mc(
     n: int,
     rng: np.random.Generator,
 ) -> DivergenceEstimate:
-    """Monte Carlo E_model[f(r)] with a normal-approximation stderr."""
-    if n < 2:
-        raise DomainError("need at least 2 samples")
+    """Monte Carlo E_model[f(r)] with a normal-approximation stderr.
+
+    A draw count that is not an integer >= 2 raises DomainError.
+    """
+    n = _at_least_two(n, "samples")
     xs = model.sample(rng, n)
     lr = np.asarray(ratio.log(xs), dtype=float)
     vals = f_value(gen, np.exp(lr))
@@ -374,7 +376,9 @@ def dual_value(
 
     Equals the divergence when t is the optimal discriminator; any other t
     gives a lower bound. Finite pairs are summed exactly, 1-d mixture pairs
-    integrated by quadrature.
+    integrated by quadrature. Points where neither distribution has mass
+    contribute nothing; a t that is NaN or infinite anywhere else raises
+    DomainError.
     """
     if isinstance(target, FiniteDist) and isinstance(model, FiniteDist):
         mode = "exact"
@@ -383,7 +387,11 @@ def dual_value(
     else:
         raise SupportMismatchError("dual_value needs two finite or two mixture distributions")
     x, _, _, pw, qw = pair_view(target, model, mode, n_nodes, span)
-    t = np.asarray(t_fn(x), dtype=float)
+    live = (pw > 0) | (qw > 0)
+    pw, qw = pw[live], qw[live]
+    t = np.broadcast_to(np.asarray(t_fn(x), dtype=float), live.shape)[live]
+    if not np.all(np.isfinite(t)):
+        raise DomainError("the dual function must be finite wherever either distribution has mass")
     return _fsum(pw * t) - _fsum(qw * fstar_value(gen, t))
 
 

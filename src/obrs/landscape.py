@@ -18,9 +18,12 @@ feeds the slack solver and the divergence, and a given pair gets the same
 grid at every budget, so comparisons across budgets are internally
 consistent. Exact and quadrature losses share one path:
 ``sampling._calibrated_view`` gives the weighted view of the pair and the
-calibrated acceptance on it, and the single f-divergence kernel
-``fdiv._fdiv_terms`` the integrand, evaluated from log-densities, which
-keeps lattice corners with log-ratios of several hundred finite.
+calibrated acceptance on it at every budget, and the single f-divergence
+kernel ``fdiv._fdiv_terms`` the integrand, evaluated from log-densities,
+which keeps lattice corners with log-ratios of several hundred finite. A
+landscape or fit lattice builds one view per cell, with its two
+log-densities, and calibrates it once per budget; ``budgeted_loss`` and
+``fit_grid`` are the one-budget case.
 """
 
 from __future__ import annotations
@@ -62,10 +65,26 @@ def budgeted_loss(
     under target mass (kl, reverse_kl) are truncated there by the grid,
     while bounded ones (gan, tv, pr) are represented faithfully.
     """
-    # log-densities computed once feed both the calibration and the
-    # integrand: this body runs tens of thousands of times across a fit lattice
-    (_, lp, lq, pw, qw), _, log_a = _calibrated_view(target, model, budget, mode, n_nodes, span)
-    return _acceptance_loss(gen, lp, lq, pw, qw, log_a, _fsum if mode == "exact" else np.sum)
+    return _budgeted_losses(gen, target, model, (budget,), mode, n_nodes, span)[0]
+
+
+def _budgeted_losses(
+    gen: Generator,
+    target,
+    model,
+    budgets: tuple[float, ...],
+    mode: str,
+    n_nodes: int,
+    span: float,
+) -> list[float]:
+    """``budgeted_loss`` at each budget, from one view of the pair.
+
+    The log-densities computed once feed every calibration and integrand:
+    this body runs tens of thousands of times across a fit lattice.
+    """
+    (_, lp, lq, pw, qw), calibrated = _calibrated_view(target, model, budgets, mode, n_nodes, span)
+    total = _fsum if mode == "exact" else np.sum
+    return [_acceptance_loss(gen, lp, lq, pw, qw, log_a, total) for _, log_a in calibrated]
 
 
 def primal_identity_check(
@@ -131,11 +150,7 @@ def landscape_1d(
     losses = np.empty((len(thetas), len(budgets)))
     for i, theta in enumerate(thetas):
         target, model = spacing_mismatch_pair(float(theta), spacing_target)
-        for j, budget in enumerate(budgets):
-            losses[i, j] = budgeted_loss(
-                gen, target, model, budget, mode="quadrature",
-                n_nodes=n_nodes, span=span,
-            )
+        losses[i] = _budgeted_losses(gen, target, model, budgets, "quadrature", n_nodes, span)
     return LossSurface(
         gen_label=gen.label,
         thetas=thetas,
@@ -175,27 +190,40 @@ def fit_grid(
     """Exhaustive (mu, sigma) lattice search for the best single-Gaussian
     proposal to the ``bimodal_target`` at a given budget. Ties resolve to the
     lowest flat index (mu-major, then sigma)."""
+    return _fit_grids(gen, (budget,), mus, sigmas, n_nodes, span)[0]
+
+
+def _fit_grids(
+    gen: Generator | None,
+    budgets: tuple[float, ...],
+    mus: np.ndarray | None,
+    sigmas: np.ndarray | None,
+    n_nodes: int,
+    span: float,
+) -> list[FitResult]:
+    """``fit_grid`` at each budget, from one view per lattice cell."""
     gen = gen or Generator.gan()
     target = bimodal_target()
     mus = FIT_MU_GRID_DEFAULT if mus is None else np.asarray(mus, dtype=float)
     sigmas = FIT_SIGMA_GRID_DEFAULT if sigmas is None else np.asarray(sigmas, dtype=float)
-    losses = np.empty((len(mus), len(sigmas)))
+    losses = np.empty((len(budgets), len(mus), len(sigmas)))
     for i, mu in enumerate(mus):
         for j, sigma in enumerate(sigmas):
             model = single_gaussian(float(mu), float(sigma))
-            losses[i, j] = budgeted_loss(
-                gen, target, model, budget, mode="quadrature",
-                n_nodes=n_nodes, span=span,
+            losses[:, i, j] = _budgeted_losses(
+                gen, target, model, budgets, "quadrature", n_nodes, span
             )
-    flat = int(np.argmin(losses))
-    i, j = np.unravel_index(flat, losses.shape)
-    return FitResult(
-        gen_label=gen.label,
-        budget=budget,
-        mus=mus,
-        sigmas=sigmas,
-        losses=losses,
-        best_mu=float(mus[i]),
-        best_sigma=float(sigmas[j]),
-        best_loss=float(losses[i, j]),
-    )
+    results = []
+    for budget, grid in zip(budgets, losses):
+        i, j = np.unravel_index(int(np.argmin(grid)), grid.shape)
+        results.append(FitResult(
+            gen_label=gen.label,
+            budget=budget,
+            mus=mus,
+            sigmas=sigmas,
+            losses=grid,
+            best_mu=float(mus[i]),
+            best_sigma=float(sigmas[j]),
+            best_loss=float(grid[i, j]),
+        ))
+    return results

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Distribution, pair_view, ratio_of
+from .dist import Distribution, _at_least_two, pair_view, ratio_of
 from .errors import DomainError
 from .sampling import ScaleSolution, _calibrated_view
 
@@ -118,7 +118,8 @@ def pr_point(
     rng: np.random.Generator | None = None,
 ) -> PRPoint:
     """One tradeoff point. ``exact`` for finite pairs, ``quadrature`` for 1-d
-    mixture pairs, ``mc`` for anything with a ratio (adds stderrs)."""
+    mixture pairs, ``mc`` for anything with a ratio (adds stderrs; n must be
+    an integer >= 2, else DomainError)."""
     lam = float(_thresholds(lam))
     if mode in ("exact", "quadrature"):
         _, _, _, pw, qw = pair_view(target, model, mode, n_nodes, span)
@@ -126,6 +127,7 @@ def pr_point(
     if mode == "mc":
         if rng is None:
             raise DomainError("mc mode needs an rng")
+        n = _at_least_two(n, "samples")
         ratio = ratio_of(target, model)
         lr_q = np.asarray(ratio.log(model.sample(rng, n)), dtype=float)
         lr_p = np.asarray(ratio.log(target.sample(rng, n)), dtype=float)
@@ -252,7 +254,9 @@ def check_refined_prediction(
     pairs both run on the same quadrature grid. The default thresholds are
     41 around the clipping knee c/M.
     """
-    (_, _, _, pw, qw), sol, log_a = _calibrated_view(target, model, budget, mode, n_nodes, span)
+    (_, _, _, pw, qw), [(sol, log_a)] = _calibrated_view(
+        target, model, (budget,), mode, n_nodes, span
+    )
     a = np.exp(log_a)
     z = math.fsum((qw * a).tolist())
     if z <= 0:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .dist import (
     FiniteDist,
     GaussianMixture,
     RatioFn,
+    _at_least_two,
     _log_ratio,
     pair_view,
     ratio_of,
@@ -257,23 +258,27 @@ def calibrate(log_r, weights, budget: float) -> ScaleSolution:
 def _calibrated_view(
     target: Distribution,
     model: Distribution,
-    budget: float,
+    budgets: Sequence[float],
     mode: str,
     n_nodes: int = 4096,
     span: float = 8.0,
-) -> tuple[tuple, ScaleSolution, np.ndarray]:
-    """The budgeted acceptance on a pair view: (view, sol, log_a).
+) -> tuple[tuple, list[tuple[ScaleSolution, np.ndarray]]]:
+    """The budgeted acceptance on a pair view at each budget: (view, [(sol, log_a)]).
 
-    view is ``pair_view(target, model, mode, n_nodes, span)``, sol its
-    ``calibrate`` solution at the budget on the model weights, and log_a the
-    log acceptance min(log c + log r - log M, 0) at each point. Every exact
-    and quadrature refined quantity starts from this one chain.
+    view is ``pair_view(target, model, mode, n_nodes, span)``, and for each
+    budget in turn sol is its ``calibrate`` solution on the model weights
+    and log_a the log acceptance min(log c + log r - log M, 0) at each point.
+    The view and its log-ratios are computed once for all budgets. Every
+    exact and quadrature refined quantity starts from this one chain.
     """
     view = pair_view(target, model, mode, n_nodes, span)
     _, lp, lq, _, qw = view
     lr = _log_ratio(lp, lq)
-    sol = calibrate(lr, qw, budget)
-    return view, sol, _log_accept(lr - sol.log_sup, sol.log_scale)
+    calibrated = []
+    for budget in budgets:
+        sol = calibrate(lr, qw, budget)
+        calibrated.append((sol, _log_accept(lr - sol.log_sup, sol.log_scale)))
+    return view, calibrated
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +434,11 @@ def refine(
     if mode == "sample":
         if rng is None:
             raise DomainError("sample mode needs an rng")
-        if not n >= 2:
-            raise DomainError(f"sample mode needs at least 2 calibration draws, got {n!r}")
+        n = _at_least_two(n, "calibration draws")
         lr = np.asarray(ratio.log(model.sample(rng, n)), dtype=float)
         sol = calibrate(lr, np.full(len(lr), 1.0 / len(lr)), budget)
     else:
-        _, sol, _ = _calibrated_view(target, model, budget, mode)
+        _, [(sol, _)] = _calibrated_view(target, model, (budget,), mode)
     if sol.status == "unit":
         return AcceptanceSpec.unit(), sol
     if sol.status == "budgeted" and not abs(sol.rate - 1.0 / budget) <= eps:

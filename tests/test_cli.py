@@ -11,7 +11,16 @@ import numpy as np
 import pytest
 
 from obrs import FiniteDist, ObrsError, bimodal_target, gaussian_grid_2d, single_gaussian
-from obrs.cli import _grid2d_metrics, _manifest_schema, _write_json, _write_manifest, main
+from obrs.cli import (
+    _build_parser,
+    _grid2d_metrics,
+    _manifest_schema,
+    _write_csv,
+    _write_json,
+    _write_manifest,
+    main,
+)
+from obrs.dist import GaussianMixture
 
 
 def run_cli(*args) -> int:
@@ -407,3 +416,69 @@ def test_rerun_of_empty_landscape_exits_one(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert list(again.glob("*")) == []
+
+
+@pytest.mark.parametrize("gen", ["pr:nan", "pr:inf", "pr:-1", "pr:0"])
+@pytest.mark.parametrize("command, args", [
+    ("fit", ["--mu-steps", 2, "--sigma-steps", 2, "--nodes", 256]),
+    ("landscape", ["--theta-steps", 3, "--nodes", 256]),
+])
+def test_pr_threshold_not_finite_and_positive_exits_one_before_output(
+    tmp_path, capsys, command, args, gen
+):
+    # pr:nan and pr:inf wrote a table of nan, then failed on summary.json
+    out = tmp_path / "o"
+    assert run_cli(command, "--gen", gen, *args, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lam" in err
+    assert not out.exists()
+
+
+def test_float_table_written_in_one_pass_matches_the_row_path(tmp_path):
+    table = np.array([
+        [0.0, -0.0, 5e-324, 2.2250738585072014e-308],
+        [1e308, -1e308, math.nan, math.inf],
+        [-math.inf, 3.0, -17.0, 2.0**53],
+        [0.1, 1.0 / 3.0, -2.5e-7, 123456789.0],
+    ])
+    header = ["a", "b", "c", "d"]
+    _write_csv(tmp_path / "array.csv", header, table)
+    _write_csv(tmp_path / "rows.csv", header, [[float(v) for v in row] for row in table])
+    assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    _write_csv(tmp_path / "empty.csv", header, np.empty((0, 4)))
+    assert (tmp_path / "empty.csv").read_bytes() == b"a,b,c,d\r\n"
+
+
+@pytest.mark.parametrize("command, args, cells", [
+    ("fit", ["--mu-steps", 3, "--sigma-steps", 3], 9),
+    ("landscape", ["--theta-steps", 3], 3),
+])
+def test_lattice_cell_makes_one_view_for_all_budgets(tmp_path, monkeypatch, command, args, cells):
+    # two log-densities per cell, the target's and the model's, at any number of budgets
+    calls = []
+    log_density = GaussianMixture.log_density
+
+    def counted(self, x):
+        calls.append(len(x))
+        return log_density(self, x)
+
+    monkeypatch.setattr(GaussianMixture, "log_density", counted)
+    assert run_cli(command, *args, "--budgets", "1,2,5", "--nodes", 256,
+                   "--out", tmp_path / "o") == 0
+    assert calls == [256] * (2 * cells)
+
+
+def test_reused_parser_still_reports_usage_errors(tmp_path, capsys):
+    assert _build_parser() is _build_parser()
+    with pytest.raises(SystemExit) as err:
+        main(["refine", "--budget", "2", "--rate", "0.5", "--out", str(tmp_path / "bad")])
+    assert err.value.code == 2
+    capsys.readouterr()
+    out = tmp_path / "good"
+    assert run_cli("refine", "--nodes", 256, "--lambda-steps", 5, "--out", out) == 0
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["budget"] == 2.0  # the default, not the rejected call's value
+    with pytest.raises(SystemExit) as err:
+        main(["frobnicate"])
+    assert err.value.code == 2
+    capsys.readouterr()

@@ -185,6 +185,28 @@ def test_log_density_is_bit_identical_to_broadcast_formula(case):
             assert np.array_equal(got, ref)
 
 
+def _wide_mixture(k: int) -> GaussianMixture:
+    rng = np.random.default_rng(k)
+    return GaussianMixture(np.full(k, 1.0 / k), rng.normal(scale=5.0, size=(k, 1)),
+                           rng.uniform(0.05, 2.0, size=(k, 1)))
+
+
+@pytest.mark.parametrize("case", ["spacing", "grid2d", "k130"])
+def test_log_density_is_bit_identical_on_the_lattice_and_grid_inputs(case):
+    # the component-major rows must be summed in numpy's pairwise order:
+    # 8 accumulators from k = 8, two halves past k = 128
+    if case == "spacing":
+        m = spacing_mismatch_pair(1.3)[0]  # k = 10
+        x, _ = trapezoid_grid(list(spacing_mismatch_pair(1.3)), n_nodes=4096)
+    elif case == "grid2d":
+        m = gaussian_grid_2d()  # k = 25
+        x = np.random.default_rng(25).uniform(-2.5, 2.5, size=(8192, 2))
+    else:
+        m = _wide_mixture(130)
+        x = np.linspace(-20.0, 20.0, 4096)
+    assert np.array_equal(m.log_density(x), _broadcast_log_density(m, x))
+
+
 def test_log_density_far_tail_stays_finite():
     g = single_gaussian(0.0, 0.1)
     ld = g.log_density(np.array([50.0]))

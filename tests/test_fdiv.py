@@ -367,3 +367,71 @@ def test_max_divergence_mixtures(mixture_pair):
     target, model = mixture_pair
     md = max_divergence(target, model)
     assert 1.0 < math.exp(md) < 10.0
+
+
+# ---------------------------------------------------------------------------
+# Non-finite and degenerate inputs
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100)
+@given(lam=st.one_of(st.just(math.nan), st.just(math.inf), st.floats(max_value=0.0)))
+def test_pr_generator_rejects_lam_that_is_not_finite_and_positive(lam):
+    # nan and inf were accepted: lam <= 0 is False for nan
+    with pytest.raises(DomainError):
+        Generator.precision_recall(lam)
+    with pytest.raises(DomainError):
+        Generator.parse(f"pr:{lam!r}")
+
+
+_MC_PAIR = (single_gaussian(0.0, 1.0), single_gaussian(0.5, 1.5))
+_bad_draw_counts = st.one_of(st.integers(max_value=1), st.floats(allow_nan=True))
+
+
+@settings(max_examples=100)
+@given(n=_bad_draw_counts)
+@example(n=2.5)
+@example(n=math.nan)
+def test_mc_divergence_rejects_counts_below_two_or_not_integers(n):
+    # a float count raised a bare TypeError from the sampler
+    target, model = _MC_PAIR
+    with pytest.raises(DomainError):
+        divergence_mc(Generator.kl(), ratio_of(target, model), model, n=n,
+                      rng=np.random.default_rng(0))
+
+
+_dual_gens = st.sampled_from([Generator.kl(), Generator.reverse_kl(), Generator.gan(),
+                              Generator.precision_recall(2.0)])
+
+
+@settings(max_examples=200)
+@given(gen=_dual_gens, pair=_finite_pairs(), bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       data=st.data())
+def test_dual_value_rejects_non_finite_dual_where_mass_lives(gen, pair, bad, data):
+    # returned nan
+    target, model = pair
+    live = np.flatnonzero((target.probs > 0) | (model.probs > 0)).tolist()
+    t = np.full(len(model), -1.0)
+    t[data.draw(st.sampled_from(live))] = bad
+    with pytest.raises(DomainError):
+        dual_value(gen, lambda idx: t[idx], target, model)
+
+
+@settings(max_examples=200)
+@given(gen=_dual_gens, pair=_finite_pairs(), bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_dual_value_ignores_the_dual_where_no_mass_lives(gen, pair, bad):
+    target, model = pair
+    dead = (target.probs == 0) & (model.probs == 0)
+    t = np.where(dead, bad, -1.0)
+    value = dual_value(gen, lambda idx: t[idx], target, model)
+    live = ~dead
+    expected = math.fsum((target.probs[live] * -1.0).tolist()) - math.fsum(
+        (model.probs[live] * fstar_value(gen, t[live])).tolist()
+    )
+    assert value == expected
+
+
+def test_dual_value_rejects_non_finite_dual_on_a_mixture_grid(mixture_pair):
+    target, model = mixture_pair
+    with pytest.raises(DomainError):
+        dual_value(Generator.gan(), lambda x: np.where(x > 1.0, np.nan, -1.0), target, model)

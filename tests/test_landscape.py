@@ -8,6 +8,7 @@ import pytest
 from obrs import (
     DomainError,
     FiniteDist,
+    bimodal_target,
     budgeted_loss,
     divergence_finite,
     fit_grid,
@@ -16,9 +17,11 @@ from obrs import (
     primal_identity_check,
     refine,
     refined_finite,
+    single_gaussian,
     spacing_mismatch_pair,
 )
 from obrs.fdiv import GENERATOR_PANEL, Generator, max_divergence
+from obrs.landscape import _budgeted_losses, _fit_grids
 from obrs.oracle import random_instance
 
 
@@ -86,6 +89,39 @@ def test_loss_rejects_sub_unit_budget(two_point):
     target, model = two_point
     with pytest.raises(DomainError):
         budgeted_loss(Generator.kl(), target, model, 0.9, mode="exact")
+
+
+def test_all_budgets_from_one_view_match_each_budget_alone(two_point, mixture_pair):
+    budgets = (1.0, 1.5, 2.0, 5.0)
+    for (target, model), mode in ((two_point, "exact"), (mixture_pair, "quadrature")):
+        for gen in GENERATOR_PANEL:
+            losses = _budgeted_losses(gen, target, model, budgets, mode, 1024, 8.0)
+            alone = [budgeted_loss(gen, target, model, k, mode, n_nodes=1024) for k in budgets]
+            assert losses == alone, (gen.label, mode)
+
+
+def test_landscape_and_fit_lattices_match_the_per_budget_loss():
+    gen = Generator.precision_recall(2.0)
+    budgets = (1.0, 2.0, 5.0)
+    thetas = np.array([0.6, 1.0, 1.7])
+    surf = landscape_1d(gen, thetas, budgets, n_nodes=512)
+    for i, theta in enumerate(thetas):
+        target, model = spacing_mismatch_pair(float(theta))
+        for j, k in enumerate(budgets):
+            loss = budgeted_loss(gen, target, model, k, "quadrature", n_nodes=512)
+            assert surf.losses[i, j] == loss
+    mus, sigmas = np.array([-0.5, 0.0, 1.0]), np.array([0.7, 1.5])
+    fits = _fit_grids(gen, budgets, mus, sigmas, 512, 8.0)
+    for k, res in zip(budgets, fits):
+        alone = fit_grid(gen, k, mus, sigmas, n_nodes=512)
+        assert np.array_equal(res.losses, alone.losses)
+        assert (res.best_mu, res.best_sigma, res.best_loss) == (
+            alone.best_mu, alone.best_sigma, alone.best_loss)
+        for i, mu in enumerate(mus):
+            for j, sigma in enumerate(sigmas):
+                model = single_gaussian(float(mu), float(sigma))
+                loss = budgeted_loss(gen, bimodal_target(), model, k, "quadrature", n_nodes=512)
+                assert res.losses[i, j] == loss
 
 
 # ---------------------------------------------------------------------------

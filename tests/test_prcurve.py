@@ -270,3 +270,17 @@ def test_saturated_branch_identity(two_point):
     )
     np.testing.assert_allclose(pred.alphas, 1.0)
     np.testing.assert_allclose(pred.betas, 1.0 / pred.lams)
+
+
+# ---------------------------------------------------------------------------
+# Non-finite and degenerate Monte Carlo counts
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100)
+@given(n=st.one_of(st.integers(max_value=1), st.floats(allow_nan=True)))
+def test_mc_point_rejects_counts_below_two_or_not_integers(n):
+    # n = 0 gave an all-nan point, n = 1 nan stderrs, a float count a bare TypeError
+    target, model = bimodal_target(), single_gaussian(0.0, 1.5)
+    with pytest.raises(DomainError):
+        pr_point(target, model, 1.0, mode="mc", n=n, rng=np.random.default_rng(0))
