@@ -35,7 +35,6 @@ from .dist import (
     bimodal_target,
     dist_from_json,
     gaussian_grid_2d,
-    ratio_of,
     single_gaussian,
 )
 from .errors import DomainError, ObrsError
@@ -49,23 +48,17 @@ from .fdiv import (
     ratio_from_discriminator,
 )
 from .landscape import (
-    BUDGETS_DEFAULT,
     FIT_MU_GRID_DEFAULT,
     FIT_SIGMA_GRID_DEFAULT,
     THETA_GRID_DEFAULT,
     _fit_grids,
     landscape_1d,
 )
-from .oracle import (
-    check_improvement_bound,
-    check_kl_renyi_bound,
-    random_instance,
-)
+from .oracle import _improvement_bound, _kl_renyi_bound, _solved, random_instance
 from .prcurve import _knee_grid, _pr_scan, predict_refined_curve
 from .sampling import (
     AcceptanceSpec,
     _calibrated_view,
-    _solve_log_shift,
     refine,
     rejection_sample,
 )
@@ -330,15 +323,16 @@ def run_bounds(cfg: dict, out: Path) -> list[str]:
     kl_violations = 0
     canonical_kl_violated = False
     for name, t, m, budget in instances:
+        solved = _solved(t, m, budget)
         for gen in GENERATOR_PANEL:
-            rep = check_improvement_bound(gen, t, m, budget)
+            rep = _improvement_bound(gen, t, m, budget, solved)
             if not rep.satisfied or not rep.witness_feasible:
                 general_violations += 1
             general_rows.append([
                 name, gen.label, budget, rep.lhs, rep.rhs, rep.slack,
                 rep.alpha, rep.witness_divergence, rep.witness_feasible, rep.satisfied,
             ])
-        kr = check_kl_renyi_bound(t, m, budget)
+        kr = _kl_renyi_bound(t, m, budget, solved)
         if not kr.satisfied:
             kl_violations += 1
             if name == "canonical":
@@ -403,21 +397,13 @@ def run_grid2d(cfg: dict, out: Path) -> list[str]:
     jitter_rng = np.random.default_rng([cfg["seed"], 0xD1])
     weights = jitter_rng.dirichlet(np.full(25, cfg["jitter"] / 25.0))
     surrogate = gaussian_grid_2d(cfg["surrogate_sigma"], cfg["spacing"], weights=weights)
-    ratio = ratio_of(target, surrogate)
-
-    cal_rng = np.random.default_rng([cfg["seed"], 0xCA])
-    cal = surrogate.sample(cal_rng, cfg["calibration"])
-    lr_cal = np.asarray(ratio.log(cal), dtype=float)
-    log_sup = float(np.max(lr_cal))
-    cal_w = np.full(len(lr_cal), 1.0 / len(lr_cal))
-    # matched by rate, not budget, so the shift may be negative; the
-    # rate-matched drs shares the calibration: its shift -gamma is log(scale)
-    log_c, cal_rate = _solve_log_shift(lr_cal - log_sup, cal_w, rate)
-    specs = {
-        "baseline": AcceptanceSpec.unit(),
-        "obrs": AcceptanceSpec.clipped(ratio, log_sup, log_c),
-        "drs": AcceptanceSpec.clipped(ratio, log_sup, log_c),
-    }
+    # obrs at budget 1/rate (a rate at or below 1/M runs at 1/M, c = 1); the
+    # rate-matched drs shares the calibration, its shift -gamma being log(scale)
+    spec, sol = refine(
+        target, surrogate, _budget_of_rate(rate), mode="sample",
+        n=cfg["calibration"], rng=np.random.default_rng([cfg["seed"], 0xCA]),
+    )
+    specs = {"baseline": AcceptanceSpec.unit(), "obrs": spec, "drs": spec}
 
     n = cfg["samples"]
     radius = 4.0 * cfg["sigma"]
@@ -425,41 +411,35 @@ def run_grid2d(cfg: dict, out: Path) -> list[str]:
     modes = target.means
     max_draws = int(math.ceil(50 * n / rate))
     rows = []
-    agg: dict[str, dict[str, list[float]]] = {
-        m: {"precision": [], "recall": [], "draws": []} for m in specs
-    }
     for rep in range(cfg["repeats"]):
         for method, spec in specs.items():
             # common random numbers: every method replays the same stream
             run_rng = np.random.default_rng([cfg["seed"], 1, rep])
             result = rejection_sample(surrogate, spec, n, run_rng, max_draws=max_draws)
             precision, recall = _grid2d_metrics(result.samples, modes, radius, quota)
-            ratio_evals = 0 if method == "baseline" else result.draws_used
+            ratio_evals = 0 if spec.kind == "unit" else result.draws_used
             rows.append([
                 method, rep, precision, recall, result.accepted,
                 result.draws_used, ratio_evals, result.rate,
             ])
-            agg[method]["precision"].append(precision)
-            agg[method]["recall"].append(recall)
-            agg[method]["draws"].append(result.draws_used)
     _write_csv(
         out / "grid2d.csv",
         ["method", "repeat", "precision", "recall", "accepted",
          "draws_used", "ratio_evals", "measured_rate"],
         rows,
     )
+    unit = sol.status == "unit"  # rate 1: the slack is infinite, recorded as null
     summary = {
         "target_rate": rate,
-        "calibration_rate": cal_rate,
-        "sup_ratio": math.exp(log_sup),
-        "scale": math.exp(log_c),
-        "gamma": -log_c,
+        "calibration_rate": sol.rate,
+        "sup_ratio": sol.sup_ratio,
+        "scale": None if unit else sol.scale,
+        "gamma": None if unit else 0.0 - sol.log_scale,  # 0.0, not -0.0, at c = 1
         "methods": {},
     }
     for method in specs:
-        p = np.asarray(agg[method]["precision"])
-        r = np.asarray(agg[method]["recall"])
-        d = np.asarray(agg[method]["draws"])
+        # precision, recall and draws_used over the method's repeats
+        p, r, d = zip(*(row[2:4] + row[5:6] for row in rows if row[0] == method))
         summary["methods"][method] = {
             "precision_mean": float(np.mean(p)),
             "precision_std": float(np.std(p, ddof=1)) if len(p) > 1 else None,

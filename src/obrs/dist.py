@@ -315,16 +315,16 @@ def ratio_of(target: Distribution, model: Distribution) -> RatioFn:
 # ---------------------------------------------------------------------------
 
 
-def _at_least_two(n, what: str) -> int:
-    """A count of nodes or draws as an int; anything but an integer >= 2
-    (a float, NaN, 1 or less) raises DomainError."""
+def _count(n, what: str, least: int = 2) -> int:
+    """A count of nodes, draws or trials as an int; anything but an integer
+    >= least (a float, NaN, inf or less) raises DomainError."""
     try:
-        n = operator.index(n)
+        count = operator.index(n)
     except TypeError:
-        n = None
-    if n is None or n < 2:
-        raise DomainError(f"need an integer count of at least 2 {what}, got {n!r}")
-    return n
+        count = least - 1
+    if count < least:
+        raise DomainError(f"need an integer count of at least {least} {what}, got {n!r}")
+    return count
 
 
 def trapezoid_grid(
@@ -340,7 +340,7 @@ def trapezoid_grid(
     """
     if not 0 < span < math.inf:  # also rejects NaN
         raise DomainError(f"span must be a finite positive number, got {span!r}")
-    n_nodes = _at_least_two(n_nodes, "nodes")
+    n_nodes = _count(n_nodes, "nodes")
     los, his = [], []
     for d in dists:
         if d.dim != 1:
@@ -357,19 +357,38 @@ def trapezoid_grid(
 
 
 def pair_view(
-    target: Distribution, model: Distribution, mode: str, n_nodes: int = 4096, span: float = 8.0
+    target: Distribution, model: Distribution, mode: str, n_nodes: int = 4096, span: float = 8.0,
+    rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The weighted view of a (target, model) pair: (points, lp, lq, pw, qw).
 
     lp and lq are the log-densities at the points, pw and qw the target and
-    model weights whose sums are the expectations every exact and quadrature
-    caller takes. ``exact`` takes two finite distributions on one atom list:
-    the points are the atom indices, lp and lq the log masses (-inf at zero
-    mass) and pw, qw the masses. ``quadrature`` takes two 1-d mixtures: the
-    points are the ``trapezoid_grid`` nodes and, with w their weights,
-    pw = w * exp(lp) and qw = w * exp(lq). Other families raise DomainError,
-    different atom lists SupportMismatchError.
+    model weights whose sums are the expectations every caller takes.
+    ``exact`` takes two finite distributions on one atom list: the points
+    are the atom indices, lp and lq the log masses (-inf at zero mass) and
+    pw, qw the masses. ``quadrature`` takes two 1-d mixtures: the points are
+    the ``trapezoid_grid`` nodes and, with w their weights, pw = w * exp(lp)
+    and qw = w * exp(lq). ``sample`` takes any pair ``ratio_of`` takes and
+    n_nodes model draws with rng (atom indices on a finite pair): qw = 1/n_nodes
+    and pw = qw * exp(lp - lq), the importance weights. A missing rng or a
+    count that is not an integer >= 2 raises DomainError, as do other
+    families in the other modes; different atom lists raise SupportMismatchError.
     """
+    if mode == "sample":
+        if rng is None:
+            raise DomainError("sample mode needs an rng")
+        n = _count(n_nodes, "calibration draws")
+        ratio_of(target, model)  # one family on one atom list or in one dimension
+        x = model.sample(rng, n)
+        if isinstance(model, FiniteDist):
+            x = np.array([model._index[a] for a in x])
+            _, lp, lq, _, _ = pair_view(target, model, "exact")
+            lp, lq = lp[x], lq[x]
+        else:
+            lp, lq = target.log_density(x), model.log_density(x)
+        qw = np.full(n, 1.0 / n)
+        with np.errstate(over="ignore"):  # a ratio past float range weighs inf
+            return x, lp, lq, qw * np.exp(lp - lq), qw
     if mode == "exact":
         if not (isinstance(target, FiniteDist) and isinstance(model, FiniteDist)):
             raise DomainError("exact mode needs two finite distributions")

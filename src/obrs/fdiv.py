@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .dist import Distribution, FiniteDist, GaussianMixture, RatioFn, _at_least_two, pair_view
+from .dist import Distribution, FiniteDist, GaussianMixture, RatioFn, _count, pair_view
 from .errors import (
     AbsoluteContinuityError,
     DomainError,
@@ -350,7 +350,7 @@ def divergence_mc(
 
     A draw count that is not an integer >= 2 raises DomainError.
     """
-    n = _at_least_two(n, "samples")
+    n = _count(n, "samples")
     xs = model.sample(rng, n)
     lr = np.asarray(ratio.log(xs), dtype=float)
     vals = f_value(gen, np.exp(lr))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .dist import FiniteDist, pair_view
+from .dist import FiniteDist, _count, pair_view
 from .errors import DomainError, OutOfBallError
 from .fdiv import (
     GENERATOR_PANEL,
@@ -137,12 +137,12 @@ def check_optimality(
     The solved acceptance is computed once; each random competitor is
     evaluated under every generator of ``GENERATOR_PANEL``, so a single
     sweep tests that one acceptance function is simultaneously optimal for
-    all of them.
+    all of them. trials must be an integer >= 1, else DomainError.
     """
     if rng is None:
         raise DomainError("check_optimality needs an rng")
-    spec, _ = refine(target, model, budget, mode="exact")
-    ref = refined_finite(model, spec)
+    trials = _count(trials, "trials", 1)
+    _, ref = _solved(target, model, budget)
     gens = GENERATOR_PANEL
     refined_losses = {
         g.label: divergence_finite(g, target, ref.dist).value for g in gens
@@ -173,6 +173,12 @@ def check_optimality(
 # ---------------------------------------------------------------------------
 # Improvement bounds
 # ---------------------------------------------------------------------------
+
+
+def _solved(target: FiniteDist, model: FiniteDist, budget: float) -> tuple:
+    """(ScaleSolution, RefinedFinite) of a finite pair: one solve for all its checks."""
+    spec, sol = refine(target, model, budget, mode="exact")
+    return sol, refined_finite(model, spec)
 
 
 @dataclass(frozen=True)
@@ -213,10 +219,14 @@ def check_improvement_bound(
     the budget-K ball, and the refined distribution is at least as good as
     any ball member. Both the bound and the witness chain are evaluated.
     """
+    return _improvement_bound(gen, target, model, budget, _solved(target, model, budget), tol)
+
+
+def _improvement_bound(gen, target, model, budget, solved, tol=_BOUND_TOL) -> BoundReport:
+    """``check_improvement_bound`` on an instance already ``_solved``."""
+    sol, ref = solved
     shift = -gen.f_at_one
     base = divergence_finite(gen, target, model).value + shift
-    spec, sol = refine(target, model, budget, mode="exact")
-    ref = refined_finite(model, spec)
     lhs = divergence_finite(gen, target, ref.dist).value + shift
     sup = math.exp(sol.log_sup)
     alpha = min(1.0, (budget - 1.0) / sup)
@@ -268,30 +278,33 @@ def check_kl_renyi_bound(target: FiniteDist, model: FiniteDist, budget: float) -
     checked against the ball constraint; its infeasibility is precisely why
     the inequality can fail, so the report carries the witness excess.
     """
+    return _kl_renyi_bound(target, model, budget, _solved(target, model, budget))
+
+
+def _kl_renyi_bound(target, model, budget, solved) -> KLRenyiReport:
+    """``check_kl_renyi_bound`` on an instance already ``_solved``."""
+    sol, ref = solved
     kl_gen = Generator.kl()
     kl = divergence_finite(kl_gen, target, model).value
-    spec, sol = refine(target, model, budget, mode="exact")
-    ref = refined_finite(model, spec)
     lhs = divergence_finite(kl_gen, target, ref.dist).value
-    log_sup = sol.log_sup
     p, q = target.probs, model.probs
     live = (p > 0) & (q > 0)
     limit_case = None
-    if budget == 1.0:
+    if sol.status == "unit":
         # order -> 0 limit: Renyi_0 is -log of the model mass on the target support
         order = 0.0
         renyi = -math.log(math.fsum(q[p > 0].tolist()))
         rhs = kl - renyi
         limit_case = "unit_budget"
         witness = np.where(live, q, 0.0)
-    elif math.log(budget) >= log_sup:
+    elif sol.status == "unbudgeted":
         order = 1.0
         renyi = kl
         rhs = 0.0
         limit_case = "budget_covers_ratio"
         witness = np.where(live, p, 0.0)
     else:
-        order = math.log(budget) / log_sup
+        order = math.log(budget) / sol.log_sup
         renyi = renyi_divergence(order, target, model)
         rhs = (1.0 - order) * (kl - renyi)
         lw = order * np.log(np.where(live, p, 1.0)) + (1.0 - order) * np.log(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Distribution, _at_least_two, pair_view, ratio_of
+from .dist import Distribution, _count, pair_view, ratio_of
 from .errors import DomainError
 from .sampling import ScaleSolution, _calibrated_view
 
@@ -127,7 +127,7 @@ def pr_point(
     if mode == "mc":
         if rng is None:
             raise DomainError("mc mode needs an rng")
-        n = _at_least_two(n, "samples")
+        n = _count(n, "samples")
         ratio = ratio_of(target, model)
         lr_q = np.asarray(ratio.log(model.sample(rng, n)), dtype=float)
         lr_p = np.asarray(ratio.log(target.sample(rng, n)), dtype=float)

@@ -35,7 +35,7 @@ from .dist import (
     FiniteDist,
     GaussianMixture,
     RatioFn,
-    _at_least_two,
+    _count,
     _log_ratio,
     pair_view,
     ratio_of,
@@ -67,8 +67,20 @@ def _log_accept(log_r, log_shift: float):
         return np.fmin(log_r + log_shift, 0.0)
 
 
+class _LogScaled:
+    """The slack c and envelope M from log_scale and log_sup; inf past float range."""
+
+    @property
+    def scale(self) -> float:
+        return math.exp(self.log_scale) if self.log_scale < 709.0 else math.inf
+
+    @property
+    def sup_ratio(self) -> float:
+        return math.exp(self.log_sup) if self.log_sup < 709.0 else math.inf
+
+
 @dataclass
-class AcceptanceSpec:
+class AcceptanceSpec(_LogScaled):
     """A concrete acceptance function a(x) in [0, 1].
 
     kind is one of ``unit``, ``clipped``, ``table``. ``clipped`` carries the
@@ -106,19 +118,11 @@ class AcceptanceSpec:
     @classmethod
     def from_table(cls, table: dict) -> "AcceptanceSpec":
         vals = np.asarray(list(table.values()), dtype=float)
-        if np.any(vals < 0) or np.any(vals > 1):
+        if not np.all((vals >= 0) & (vals <= 1)):  # also rejects NaN
             raise DomainError("table acceptance values must lie in [0, 1]")
         return cls(kind="table", table=dict(table))
 
     # -- evaluation ----------------------------------------------------------
-
-    @property
-    def scale(self) -> float:
-        return _exp_or_inf(self.log_scale)
-
-    @property
-    def sup_ratio(self) -> float:
-        return _exp_or_inf(self.log_sup)
 
     def accept_prob(self, x) -> np.ndarray | float:
         """Acceptance probability at x (vectorized over proposal batches).
@@ -141,18 +145,13 @@ class AcceptanceSpec:
         return float(a[0]) if scalar else a
 
 
-def _exp_or_inf(x: float) -> float:
-    """exp(x), reporting inf instead of raising past float range."""
-    return math.exp(x) if x < 709.0 else math.inf
-
-
 # ---------------------------------------------------------------------------
 # Calibration: the exact slack solve and the budget policy
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ScaleSolution:
+class ScaleSolution(_LogScaled):
     """The calibrated acceptance min(scale * r / M, 1) and its rate E_model[a].
 
     log_sup = log M is the envelope over the model view; log_scale = log c
@@ -164,14 +163,6 @@ class ScaleSolution:
     rate: float
     budget: float
     status: str  # "unit" | "unbudgeted" | "budgeted"
-
-    @property
-    def scale(self) -> float:
-        return _exp_or_inf(self.log_scale)
-
-    @property
-    def sup_ratio(self) -> float:
-        return _exp_or_inf(self.log_sup)
 
 
 def _acceptance_rate(log_r: np.ndarray, weights: np.ndarray, log_shift: float) -> float:
@@ -262,16 +253,18 @@ def _calibrated_view(
     mode: str,
     n_nodes: int = 4096,
     span: float = 8.0,
+    rng: np.random.Generator | None = None,
 ) -> tuple[tuple, list[tuple[ScaleSolution, np.ndarray]]]:
     """The budgeted acceptance on a pair view at each budget: (view, [(sol, log_a)]).
 
-    view is ``pair_view(target, model, mode, n_nodes, span)``, and for each
-    budget in turn sol is its ``calibrate`` solution on the model weights
-    and log_a the log acceptance min(log c + log r - log M, 0) at each point.
-    The view and its log-ratios are computed once for all budgets. Every
-    exact and quadrature refined quantity starts from this one chain.
+    view is ``pair_view(target, model, mode, n_nodes, span, rng)``: atoms,
+    quadrature nodes or a model sample. For each budget in turn sol is its
+    ``calibrate`` solution on the model weights and log_a the log acceptance
+    min(log c + log r - log M, 0) at each point. The view and its log-ratios
+    are computed once for all budgets. Every refined quantity, in every
+    mode, starts from this one chain, and it is ``calibrate``'s one caller.
     """
-    view = pair_view(target, model, mode, n_nodes, span)
+    view = pair_view(target, model, mode, n_nodes, span, rng)
     _, lp, lq, _, qw = view
     lr = _log_ratio(lp, lq)
     calibrated = []
@@ -311,10 +304,12 @@ def rejection_sample(
     Deterministic given the rng state. Raises
     BudgetExhaustedError, carrying the partial count, if max_draws proposals
     are examined before the quota fills, and DomainError, before any draw,
-    if a finite model's exact acceptance rate is 0.
+    if n_target is not an integer >= 1, max_draws not None or an integer
+    >= 0, or a finite model's exact acceptance rate 0.
     """
-    if n_target <= 0:
-        raise DomainError("n_target must be positive")
+    n_target = _count(n_target, "samples to keep", 1)
+    if max_draws is not None:
+        max_draws = _count(max_draws, "proposals to examine", 0)
     if isinstance(model, FiniteDist):
         # the exact acceptance rate; at 0 the loop below would never return
         live = model.probs > 0
@@ -418,27 +413,20 @@ def refine(
     budget: float,
     mode: str = "exact",
     eps: float = 1e-12,
-    n: int = 10000,
+    n: int = 4096,
     rng: np.random.Generator | None = None,
 ) -> tuple[AcceptanceSpec, ScaleSolution]:
     """One-call pipeline: ratio, model view, ``calibrate``, acceptance spec.
 
-    The envelope and the slack share one view of the model: its atoms in
-    exact mode, the default ``pair_view`` trapezoid grid of a 1-d mixture
-    pair in quadrature mode (both through ``_calibrated_view``), a single
-    calibration sample of n >= 2 draws in sample mode (a single draw is its
-    own envelope), so a seeded run is fully reproducible. A budgeted rate
-    more than eps from 1/budget raises ConvergenceError.
+    The envelope and the slack share one ``_calibrated_view`` of the model:
+    its atoms in exact mode, an n-node trapezoid grid of a 1-d mixture pair
+    in quadrature mode, or one calibration sample of n >= 2 model draws with
+    rng in sample mode (a single draw is its own envelope), so a seeded run
+    is fully reproducible. A budgeted rate more than eps from 1/budget
+    raises ConvergenceError.
     """
     ratio = ratio_of(target, model)
-    if mode == "sample":
-        if rng is None:
-            raise DomainError("sample mode needs an rng")
-        n = _at_least_two(n, "calibration draws")
-        lr = np.asarray(ratio.log(model.sample(rng, n)), dtype=float)
-        sol = calibrate(lr, np.full(len(lr), 1.0 / len(lr)), budget)
-    else:
-        _, [(sol, _)] = _calibrated_view(target, model, (budget,), mode)
+    _, [(sol, _)] = _calibrated_view(target, model, (budget,), mode, n, rng=rng)
     if sol.status == "unit":
         return AcceptanceSpec.unit(), sol
     if sol.status == "budgeted" and not abs(sol.rate - 1.0 / budget) <= eps:

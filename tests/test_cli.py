@@ -1,5 +1,6 @@
 """Command-line interface: outputs, manifests, and the rerun contract."""
 
+import csv
 import json
 import math
 import subprocess
@@ -118,6 +119,55 @@ def test_grid2d_command_and_rerun(tmp_path):
     again = tmp_path / "g2b"
     assert run_cli("rerun", out / "manifest.json", "--out", again) == 0
     assert (out / "grid2d.csv").read_bytes() == (again / "grid2d.csv").read_bytes()
+
+
+def _grid2d_at_rate(tmp_path, rate):
+    out = tmp_path / f"rate-{rate}"
+    assert run_cli(
+        "grid2d", "--seed", 3, "--rate", rate, "--repeats", 2, "--samples", 300,
+        "--calibration", 2000, "--out", out,
+    ) == 0
+    with open(out / "grid2d.csv", encoding="utf-8", newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["method"] != "baseline"]
+    return (out / "summary.json").read_text(encoding="utf-8"), rows
+
+
+def test_grid2d_at_rate_one_accepts_every_proposal(tmp_path):
+    # budget 1: the unit acceptance, where the rate solve used to exit 1
+    text, rows = _grid2d_at_rate(tmp_path, 1)
+    summary = json.loads(text)
+    assert summary["scale"] is None and summary["gamma"] is None
+    assert summary["calibration_rate"] == pytest.approx(1.0, abs=1e-12)
+    for row in rows:
+        assert row["accepted"] == row["draws_used"] == "300"
+        assert row["ratio_evals"] == "0"
+
+
+def test_grid2d_rate_below_one_over_m_runs_the_unbudgeted_sampler(tmp_path):
+    # budget 1/rate >= M: c = 1 and rate 1/M, not a negative shift at rate 0.05
+    text, rows = _grid2d_at_rate(tmp_path, 0.05)
+    summary = json.loads(text)
+    assert '"gamma": 0.0,' in text
+    assert summary["scale"] == 1.0
+    assert summary["calibration_rate"] == pytest.approx(1 / summary["sup_ratio"], rel=0.2)
+    for row in rows:
+        assert float(row["measured_rate"]) == pytest.approx(summary["calibration_rate"], rel=0.2)
+
+
+def test_bounds_solves_each_instance_once(tmp_path, monkeypatch):
+    # one solve per instance, shared by its five general checks and its KL check
+    import obrs.oracle
+
+    calls = []
+    refine = obrs.oracle.refine
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(obrs.oracle, "refine", counted)
+    assert run_cli("bounds", "--seed", 1, "--instances", 10, "--out", tmp_path / "b") == 0
+    assert len(calls) == 11
 
 
 def test_sample_command_and_rerun(tmp_path):

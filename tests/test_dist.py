@@ -27,6 +27,7 @@ from obrs import (
     max_divergence,
     pr_curve,
     pr_point,
+    random_instance,
     ratio_of,
     refine,
     single_gaussian,
@@ -395,6 +396,36 @@ def test_pair_view_exact_is_log_masses():
     assert pw is target.probs and qw is model.probs
 
 
+_SAMPLED_PAIRS = [
+    random_instance(np.random.default_rng(5), n_atoms=40),
+    (bimodal_target(), single_gaussian(0.0, 1.5)),
+    (gaussian_grid_2d(0.05), gaussian_grid_2d(0.1, weights=np.full(25, 0.04))),
+]
+
+
+@pytest.mark.parametrize("pair", _SAMPLED_PAIRS, ids=["finite", "1-d", "2-d"])
+def test_pair_view_sample_is_the_ratio_at_model_draws(pair):
+    target, model = pair
+    x, lp, lq, pw, qw = pair_view(target, model, "sample", 500, rng=np.random.default_rng(8))
+    draws = model.sample(np.random.default_rng(8), 500)
+    np.testing.assert_array_equal(lp - lq, ratio_of(target, model).log(draws))
+    if isinstance(model, FiniteDist):
+        np.testing.assert_array_equal(x, [model.index(a) for a in draws])
+    else:
+        np.testing.assert_array_equal(x, draws)
+    np.testing.assert_array_equal(qw, np.full(500, 1 / 500))
+    np.testing.assert_array_equal(pw, qw * np.exp(lp - lq))
+
+
+@pytest.mark.parametrize("n, rng", [
+    (500, None), (0, np.random.default_rng(0)), (1, np.random.default_rng(0)),
+    (2.5, np.random.default_rng(0)), (math.nan, np.random.default_rng(0)),
+])
+def test_pair_view_sample_needs_an_rng_and_two_draws(mixture_pair, n, rng):
+    with pytest.raises(DomainError):
+        pair_view(*mixture_pair, "sample", n, rng=rng)
+
+
 _VANISHING = (FiniteDist([0, 1], [0.5, 0.5]), FiniteDist([0, 1], [1.0, 0.0]))
 _MISMATCHED = (FiniteDist([0, 1], [0.5, 0.5]), FiniteDist([0, 2], [0.5, 0.5]))
 _MIXTURES = (bimodal_target(), single_gaussian(0.0, 1.5))
@@ -426,6 +457,10 @@ _KL = Generator.kl()
         (lambda: pr_curve(*_MIXTURES, [1.0]), DomainError),
         (lambda: dual_value(_KL, np.zeros_like, _VANISHING[0], _MIXTURES[1]), SupportMismatchError),
         (lambda: max_divergence(_VANISHING[0], _MIXTURES[1]), SupportMismatchError),
+        (lambda: pair_view(_VANISHING[0], _MIXTURES[1], "sample", rng=np.random.default_rng(0)),
+         SupportMismatchError),
+        (lambda: pair_view(_MIXTURES[0], gaussian_grid_2d(), "sample", rng=np.random.default_rng(0)),
+         SupportMismatchError),
     ],
 )
 def test_pair_view_callers_keep_their_error_types(call, error):

@@ -18,7 +18,7 @@ from obrs import (
     refine,
     refined_finite,
 )
-from obrs.errors import SupportMismatchError
+from obrs.errors import DomainError, SupportMismatchError
 from obrs.fdiv import GENERATOR_PANEL, Generator, max_divergence
 
 
@@ -67,6 +67,13 @@ def test_no_feasible_competitor_wins(rng):
         assert gen_report.violations == 0
         # the winner's margin over the field is nonnegative
         assert gen_report.min_gap >= -report.tol
+
+
+@pytest.mark.parametrize("trials", [0, -1, 2.5, math.nan])
+def test_check_optimality_needs_a_trial(two_point, trials):
+    # with no trial the sweep reported all_pass = True
+    with pytest.raises(DomainError):
+        check_optimality(*two_point, 2.0, trials=trials, rng=np.random.default_rng(0))
 
 
 def test_two_point_competitors_tie_at_best(two_point, rng):

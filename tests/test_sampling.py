@@ -6,6 +6,8 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from obrs import (
     AcceptanceSpec,
@@ -18,9 +20,11 @@ from obrs import (
     budgeted_loss,
     calibrate,
     check_ball_membership,
+    gaussian_grid_2d,
     pr_curve,
     predict_refined_curve,
     random_feasible_acceptance,
+    random_instance,
     ratio_of,
     refine,
     refined_finite,
@@ -218,6 +222,21 @@ def test_refine_sample_mode_needs_two_points(mixture_pair, n):
         refine(target, model, 2.0, mode="sample", n=n, rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("budget", [1.0, 1.7, 3.0, 40.0])
+@pytest.mark.parametrize("pair", [
+    random_instance(np.random.default_rng(5), n_atoms=40),
+    (bimodal_target(), single_gaussian(0.0, 1.5)),
+    (gaussian_grid_2d(0.05), gaussian_grid_2d(0.1, weights=np.full(25, 0.04))),
+], ids=["finite", "1-d", "2-d"])
+def test_refine_sample_mode_is_calibrate_on_the_ratio_at_model_draws(pair, budget):
+    # sample mode is calibrate on the log-ratios at n model draws, weighted 1/n
+    target, model = pair
+    n = 3000
+    _, sol = refine(target, model, budget, mode="sample", n=n, rng=np.random.default_rng(31))
+    lr = ratio_of(target, model).log(model.sample(np.random.default_rng(31), n))
+    assert sol == calibrate(lr, np.full(n, 1.0 / n), budget)
+
+
 def test_refine_exact_needs_finite_model(mixture_pair):
     target, model = mixture_pair
     with pytest.raises(DomainError):
@@ -349,6 +368,28 @@ def test_rejection_sample_positive_rate_table_on_zero_mass_atom():
         res = rejection_sample(model, spec, 200, np.random.default_rng(12))
     assert res.accepted == 200
     assert set(res.samples) <= {0, 1}
+
+
+@given(
+    st.one_of(st.floats(), st.integers(max_value=0)),
+    st.one_of(st.floats(), st.integers(max_value=-1)),
+)
+def test_rejection_sample_rejects_a_bad_count_before_drawing(n_target, max_draws):
+    # floats, NaN and inf raised TypeError or, after drawing, IndexError
+    model, spec = single_gaussian(0.0, 1.0), AcceptanceSpec.unit()
+    rng = np.random.default_rng(15)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError):
+        rejection_sample(model, spec, n_target, rng)
+    with pytest.raises(DomainError):
+        rejection_sample(model, spec, 10, rng, max_draws=max_draws)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("value", [math.nan, -0.25, 1.5])
+def test_table_acceptance_outside_the_unit_interval_raises(value):
+    with pytest.raises(DomainError):
+        AcceptanceSpec.from_table({0: 0.5, 1: value})
 
 
 @pytest.mark.parametrize(
