@@ -27,7 +27,6 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
-import scipy
 
 from . import __version__
 from .dist import (
@@ -145,7 +144,6 @@ def _write_manifest(
             "obrs": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "outputs": outputs,
         "wall_time_s": wall,

@@ -14,6 +14,7 @@ deep tails (log-ratios of several hundred) never overflow prematurely.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -35,24 +36,29 @@ class FiniteDist:
     """A distribution on an explicit finite set of atoms.
 
     Atoms may be any hashable labels (ints, strings, coordinate tuples);
-    probabilities must be nonnegative and sum to 1 within 1e-12.
+    probabilities must be nonnegative and sum to 1 within 1e-12. ``probs``
+    is a read-only copy of the vector given, so the distribution cannot
+    change after it was validated.
     """
 
     def __init__(self, atoms: Sequence[Any], probs: Sequence[float]):
         atoms = list(atoms)
-        probs = np.asarray(probs, dtype=float)
+        probs = np.array(probs, dtype=float)
         if len(atoms) != len(probs):
             raise DomainError("atoms and probs must have equal length")
         if len(atoms) != len(set(atoms)):
             raise DomainError("atoms must be distinct")
-        # both checks are written to fail on NaN
-        if not np.all(probs >= 0):
+        # both checks are written to fail on NaN, which min propagates
+        least = probs.min(initial=math.inf)
+        if not least >= 0:
             raise DomainError("probabilities must be nonnegative")
         total = math.fsum(probs.tolist())
         if not abs(total - 1.0) <= _PROB_TOL:
             raise DomainError(f"probabilities sum to {total!r}, not 1")
+        probs.flags.writeable = False
         self.atoms = atoms
         self.probs = probs
+        self._zero_mass = bool(least == 0)  # some atom carries no mass
         self._index = {a: i for i, a in enumerate(atoms)}
 
     def __len__(self) -> int:
@@ -77,6 +83,18 @@ class FiniteDist:
 
     def same_support(self, other: "FiniteDist") -> bool:
         return self.atoms == other.atoms
+
+    @functools.cached_property
+    def _log_view(self) -> tuple[np.ndarray, np.ndarray]:
+        """(atom indices, log masses with -inf at zero mass), read-only.
+
+        Computed on first use: exact pair views reuse them on every call.
+        """
+        with np.errstate(divide="ignore"):
+            log_probs = np.log(self.probs)
+        index = np.arange(len(self.probs))
+        log_probs.flags.writeable = index.flags.writeable = False
+        return index, log_probs
 
     def to_json(self) -> dict:
         return {"type": "finite", "atoms": _jsonable(self.atoms), "probs": self.probs.tolist()}
@@ -366,8 +384,9 @@ def pair_view(
     model weights whose sums are the expectations every caller takes.
     ``exact`` takes two finite distributions on one atom list: the points
     are the atom indices, lp and lq the log masses (-inf at zero mass) and
-    pw, qw the masses. ``quadrature`` takes two 1-d mixtures: the points are
-    the ``trapezoid_grid`` nodes and, with w their weights, pw = w * exp(lp)
+    pw, qw the masses, all read-only arrays the distributions keep.
+    ``quadrature`` takes two 1-d mixtures: the points are the
+    ``trapezoid_grid`` nodes and, with w their weights, pw = w * exp(lp)
     and qw = w * exp(lq). ``sample`` takes any pair ``ratio_of`` takes and
     n_nodes model draws with rng (atom indices on a finite pair): qw = 1/n_nodes
     and pw = qw * exp(lp - lq), the importance weights. A missing rng or a
@@ -394,9 +413,8 @@ def pair_view(
             raise DomainError("exact mode needs two finite distributions")
         if not target.same_support(model):
             raise SupportMismatchError("the two distributions must share one atom list")
-        pw, qw = target.probs, model.probs
-        with np.errstate(divide="ignore"):
-            return np.arange(len(pw)), np.log(pw), np.log(qw), pw, qw
+        index, lp = target._log_view
+        return index, lp, model._log_view[1], target.probs, model.probs
     if mode == "quadrature":
         if not (isinstance(target, GaussianMixture) and isinstance(model, GaussianMixture)):
             raise DomainError("quadrature mode needs two mixtures")

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dist import Distribution, FiniteDist, GaussianMixture, RatioFn, _count, pair_view
 from .errors import (
@@ -140,10 +139,10 @@ def f_value(gen: Generator, u):
     """Evaluate f(u) elementwise for u >= 0 (right-limit conventions at 0).
 
     At u = 0: kl -> 0, gan -> 0, tv -> 1/2, pr -> 1 - max(lam, 1),
-    reverse_kl -> +inf.
+    reverse_kl -> +inf. A negative or NaN u raises DomainError.
     """
     arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):  # also rejects NaN
         raise DomainError("generator argument must be nonnegative")
     with np.errstate(divide="ignore", invalid="ignore"):
         if gen.kind == "kl":
@@ -167,19 +166,21 @@ def fstar_value(gen: Generator, t):
 
     kl: exp(t-1) on all of R; gan: -log(1 - e^t) for t < 0;
     reverse_kl: -1 - log(-t) for t < 0; pr: t / lam.
-    tv has no useful conjugate here and raises.
+    tv has no useful conjugate here and raises; a NaN t raises DomainError.
     """
     if gen.kind == "tv":
         raise UnsupportedGeneratorError("tv conjugate is degenerate; not supported")
     arr = np.asarray(t, dtype=float)
+    if np.any(np.isnan(arr)):
+        raise DomainError("conjugate argument is NaN")
     if gen.kind == "kl":
         out = np.exp(arr - 1.0)
     elif gen.kind == "gan":
-        if np.any(arr >= 0):
+        if not np.all(arr < 0):
             raise DomainError("gan conjugate needs t < 0")
         out = -np.log(-np.expm1(arr))
     elif gen.kind == "reverse_kl":
-        if np.any(arr >= 0):
+        if not np.all(arr < 0):
             raise DomainError("reverse_kl conjugate needs t < 0")
         out = -1.0 - np.log(-arr)
     else:  # pr
@@ -191,10 +192,11 @@ def discriminator_from_ratio(gen: Generator, r):
     """Optimal dual variable at ratio r, i.e. f'(r) (a subgradient for tv/pr).
 
     kl: 1 + log r; gan: log(r / (1+r)) (the log-sigmoid convention);
-    reverse_kl: -1/r; tv: sign(r-1)/2; pr: lam * sign(r-1).
+    reverse_kl: -1/r; tv: sign(r-1)/2; pr: lam * sign(r-1). A ratio that is
+    not positive, NaN included, raises DomainError.
     """
     arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0):
+    if not np.all(arr > 0):  # also rejects NaN
         raise DomainError("ratio must be positive")
     if gen.kind == "kl":
         out = 1.0 + np.log(arr)
@@ -213,18 +215,21 @@ def ratio_from_discriminator(gen: Generator, t):
     """Invert the dual map: (f*)'(t). Only smooth generators are invertible.
 
     kl: exp(t-1); gan: e^t / (1 - e^t) for t < 0; reverse_kl: -1/t for t < 0.
+    A NaN t raises DomainError.
     """
     if not gen.smooth:
         raise UnsupportedGeneratorError(f"{gen.label} has no single-valued ratio recovery")
     arr = np.asarray(t, dtype=float)
     if gen.kind == "kl":
+        if np.any(np.isnan(arr)):
+            raise DomainError("kl discriminator value is NaN")
         out = np.exp(arr - 1.0)
     elif gen.kind == "gan":
-        if np.any(arr >= 0):
+        if not np.all(arr < 0):  # also rejects NaN
             raise DomainError("gan discriminator values must be negative")
         out = np.exp(arr) / (-np.expm1(arr))
     else:  # reverse_kl
-        if np.any(arr >= 0):
+        if not np.all(arr < 0):  # also rejects NaN
             raise DomainError("reverse_kl discriminator values must be negative")
         out = -1.0 / arr
     return float(out) if np.isscalar(t) else out
@@ -255,7 +260,7 @@ def divergence_finite(gen: Generator, target: FiniteDist, model: FiniteDist) -> 
     by their u -> inf limits, every other generator raises.
     """
     _, lp, lq, p, q = pair_view(target, model, "exact")
-    if gen.kind not in ("tv", "pr"):
+    if model._zero_mass and gen.kind not in ("tv", "pr"):
         heavy = np.flatnonzero((q == 0) & (p > 0))
         if heavy.size:
             i = int(heavy[0])
@@ -263,9 +268,9 @@ def divergence_finite(gen: Generator, target: FiniteDist, model: FiniteDist) -> 
                 f"model mass vanishes at atom index {i} ({target.atoms[i]!r}) "
                 "where target mass is positive"
             )
-    with np.errstate(invalid="ignore"):
-        log_u = lp - lq
-    return DivergenceEstimate(value=_fsum(_fdiv_terms(gen, p, q, log_u)))
+    with np.errstate(all="ignore"):
+        terms = _fdiv_terms(gen, p, q, lp - lq)
+    return DivergenceEstimate(value=_fsum(terms))
 
 
 def divergence_quadrature(
@@ -277,11 +282,18 @@ def divergence_quadrature(
 ) -> DivergenceEstimate:
     """Trapezoid-rule D_f(target || model) for 1-d mixture pairs."""
     _, lp, lq, pw, qw = pair_view(target, model, "quadrature", n_nodes, span)
-    return DivergenceEstimate(value=_fsum(_fdiv_terms(gen, pw, qw, lp - lq)))
+    with np.errstate(all="ignore"):
+        terms = _fdiv_terms(gen, pw, qw, lp - lq)
+    return DivergenceEstimate(value=_fsum(terms))
 
 
 def _fsum(values: np.ndarray) -> float:
     return math.fsum(values.tolist())
+
+
+def _fsum_rows(values: np.ndarray) -> np.ndarray:
+    """``_fsum`` of each row of a 2-d array, as a column."""
+    return np.fromiter(map(math.fsum, values.tolist()), float, len(values))[:, None]
 
 
 def _fdiv_terms(gen: Generator, pw: np.ndarray, qw: np.ndarray, log_u: np.ndarray) -> np.ndarray:
@@ -292,27 +304,28 @@ def _fdiv_terms(gen: Generator, pw: np.ndarray, qw: np.ndarray, log_u: np.ndarra
     model weight, and the log ratio, so log-ratios of hundreds never
     round-trip through exp(). qw may be an acceptance-reweighted model
     weight. Where qw = 0 under target mass, tv and pr take their u -> inf
-    limits.
+    limits; where both weights vanish every term is 0. The arrays broadcast,
+    and callers run it under ``np.errstate(all="ignore")``.
     """
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        if gen.kind == "kl":
-            # qw * u log u = pw * log u
-            terms = np.where(pw > 0, pw * log_u, 0.0)
-        elif gen.kind == "reverse_kl":
-            terms = np.where(qw > 0, -qw * log_u, 0.0)
-            if np.any((qw > 0) & (pw == 0)):
-                terms = np.where((qw > 0) & (pw == 0), np.inf, terms)
-        elif gen.kind == "tv":
-            terms = 0.5 * np.abs(pw - qw)
-        elif gen.kind == "gan":
-            # qw [u log u - (u+1) log(u+1)] = pw log u - (pw + qw) log(u+1)
-            log1pu = np.logaddexp(log_u, 0.0)
-            terms = np.where(pw > 0, pw * log_u, 0.0) - (pw + qw) * log1pu
-            # a vanished model weight under target mass has limit 0, not nan
-            terms = np.where((qw == 0) & (pw > 0) & ~np.isfinite(log_u), 0.0, terms)
-        else:  # pr
-            terms = np.maximum(gen.lam * pw, qw) - max(gen.lam, 1.0) * qw
-    return np.where((pw == 0) & (qw == 0), 0.0, terms)
+    if gen.kind == "kl":
+        # qw * u log u = pw * log u
+        return np.where(pw > 0, pw * log_u, 0.0)
+    if gen.kind == "reverse_kl":
+        terms = np.where(qw > 0, -qw * log_u, 0.0)
+        if np.any((qw > 0) & (pw == 0)):
+            terms = np.where((qw > 0) & (pw == 0), np.inf, terms)
+        return terms
+    if gen.kind == "tv":
+        return 0.5 * np.abs(pw - qw)
+    if gen.kind == "gan":
+        # qw [u log u - (u+1) log(u+1)] = pw log u - (pw + qw) log(u+1)
+        log1pu = np.logaddexp(log_u, 0.0)
+        terms = np.where(pw > 0, pw * log_u, 0.0) - (pw + qw) * log1pu
+        # the one formula that gives 0 * nan where both weights vanish, or
+        # where a vanished model weight under target mass has limit 0
+        return np.where((qw == 0) & ((pw == 0) | ~np.isfinite(log_u)), 0.0, terms)
+    # pr
+    return np.maximum(gen.lam * pw, qw) - max(gen.lam, 1.0) * qw
 
 
 def _acceptance_loss(
@@ -322,21 +335,32 @@ def _acceptance_loss(
     pw: np.ndarray,
     qw: np.ndarray,
     log_a: np.ndarray,
-    total: Callable[[np.ndarray], float],
-) -> float:
+    total: Callable[[np.ndarray], float | np.ndarray],
+) -> float | np.ndarray:
     """D_f(target || q a / Z) on a pair view, from log a at each point.
 
     Z = total(q a) is the measured rate; total is ``_fsum`` on finite views
     and ``np.sum`` on quadrature grids. log u = log(p / refined) is taken in
     log space, so it stays finite where the refined mass underflows.
+
+    log_a may also be a (trials, points) matrix, one acceptance per row,
+    with total ``_fsum_rows``: the losses then come back as a column, each
+    row's bits those of its own call.
     """
+    batch = log_a.ndim == 2
     qa = qw * np.exp(log_a)
-    z = float(total(qa))
-    if z <= 0:
+    z = total(qa)
+    rates = z.ravel().tolist() if batch else [float(z)]
+    if min(rates) <= 0:
         raise DomainError("acceptance kills all model mass")
-    with np.errstate(invalid="ignore"):
-        log_u = lp - (lq + log_a - math.log(z))
-    return float(total(_fdiv_terms(gen, pw, qa / z, log_u)))
+    if batch:
+        log_z = np.fromiter(map(math.log, rates), float, len(rates))[:, None]
+    else:
+        log_z = math.log(rates[0])
+    with np.errstate(all="ignore"):
+        log_u = lp - (lq + log_a - log_z)
+        terms = _fdiv_terms(gen, pw, qa / z, log_u)
+    return total(terms) if batch else float(total(terms))
 
 
 def divergence_mc(
@@ -404,13 +428,16 @@ def renyi_divergence(order: float, target: FiniteDist, model: FiniteDist) -> flo
     """Renyi divergence of the given order on a shared finite support.
 
     Computed as logsumexp(order*log p + (1-order)*log q) / (order - 1).
-    Orders <= 0 and exactly 1 are rejected; orders > 1 require the model to
-    dominate the target. Very large orders approach the max divergence.
+    Orders <= 0, NaN and exactly 1 are rejected; orders > 1 require the
+    model to dominate the target. Very large orders approach the max
+    divergence, which order +inf returns.
     """
-    if order <= 0:
-        raise DomainError("Renyi order must be positive")
+    if not order > 0:  # also rejects NaN
+        raise DomainError(f"Renyi order must be positive, got {order!r}")
     if order == 1.0:
         raise DomainError("order 1 is the KL limit; use divergence_finite with kl")
+    if order == math.inf:
+        return max_divergence(target, model)
     _, lp, lq, p, q = pair_view(target, model, "exact")
     if order > 1:
         bad = np.flatnonzero((q == 0) & (p > 0))
@@ -422,7 +449,28 @@ def renyi_divergence(order: float, target: FiniteDist, model: FiniteDist) -> flo
     live = (p > 0) & (q > 0)
     if not np.any(live):
         raise DomainError("distributions share no support")
-    return float(logsumexp(order * lp[live] + (1.0 - order) * lq[live]) / (order - 1.0))
+    return _logsumexp(order * lp[live] + (1.0 - order) * lq[live]) / (order - 1.0)
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a nonempty 1-d array, bit for bit as
+    ``scipy.special.logsumexp`` computes it.
+
+    The maximum m is split off: with k entries equal to m and s the sum of
+    exp(a - m) over the others, the result is log1p(s/k) + log(k) + m,
+    evaluated on one-element arrays as scipy evaluates it. Where that is not
+    finite (an all -inf, a +inf or a NaN entry) it is log(sum(exp(a))).
+    """
+    top = np.max(a, keepdims=True)
+    at_top = a == top
+    count = np.sum(at_top, dtype=float, keepdims=True)
+    with np.errstate(all="ignore"):
+        s = np.sum(np.exp(np.where(at_top, -np.inf, a) - top), keepdims=True)
+        s = np.where(s == 0, s, s / count)
+        out = float((np.log1p(s) + np.log(count) + top)[0])
+        if not math.isfinite(out):
+            out = float(np.log(np.sum(np.exp(a))))
+    return out
 
 
 def max_divergence(target: Distribution, model: Distribution) -> float:

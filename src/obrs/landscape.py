@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import FiniteDist, bimodal_target, single_gaussian, spacing_mismatch_pair
+from .errors import DomainError
 from .fdiv import Generator, _acceptance_loss, _fsum, divergence_finite
 from .sampling import _calibrated_view, refine, refined_finite
 
@@ -206,6 +207,8 @@ def _fit_grids(
     target = bimodal_target()
     mus = FIT_MU_GRID_DEFAULT if mus is None else np.asarray(mus, dtype=float)
     sigmas = FIT_SIGMA_GRID_DEFAULT if sigmas is None else np.asarray(sigmas, dtype=float)
+    if not (len(mus) and len(sigmas)):
+        raise DomainError("a fit lattice needs at least one mu and one sigma")
     losses = np.empty((len(budgets), len(mus), len(sigmas)))
     for i, mu in enumerate(mus):
         for j, sigma in enumerate(sigmas):

@@ -250,6 +250,30 @@ def test_sampling_failure_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_import_leaves_scipy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, obrs.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_manifest_with_a_scipy_version_still_reruns(tmp_path):
+    # manifests written while scipy was a runtime dependency record its version
+    out = tmp_path / "gen"
+    assert run_cli("generators", "--u-steps", 3, "--out", out) == 0
+    manifest = read_manifest(out)
+    assert "scipy" not in manifest["versions"]
+    manifest["versions"]["scipy"] = "1.17.1"
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(manifest), encoding="utf-8")
+    again = tmp_path / "again"
+    assert run_cli("rerun", old, "--out", again) == 0
+    for name in manifest["outputs"]:
+        assert (again / name).read_bytes() == (out / name).read_bytes()
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "obrs.cli", "generators", "--u-steps", "3",

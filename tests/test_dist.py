@@ -35,6 +35,7 @@ from obrs import (
     trapezoid_grid,
 )
 from obrs.dist import pair_view
+from obrs.fdiv import GENERATOR_PANEL
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +395,27 @@ def test_pair_view_exact_is_log_masses():
     np.testing.assert_array_equal(lp, [math.log(0.5), math.log(0.5), -math.inf])
     np.testing.assert_array_equal(lq, [math.log(0.25), -math.inf, math.log(0.75)])
     assert pw is target.probs and qw is model.probs
+
+
+def test_pair_view_exact_reuses_read_only_log_masses(two_point):
+    target, model = two_point
+    first, again = pair_view(target, model, "exact"), pair_view(target, model, "exact")
+    for a, b in zip(first, again):
+        assert a is b
+        assert not a.flags.writeable
+
+
+def test_finite_dist_keeps_a_read_only_copy():
+    # the caller's vector could be changed after validation
+    probs = np.array([0.5, 0.25, 0.25])
+    target = FiniteDist([0, 1, 2], probs)
+    model = FiniteDist([0, 1, 2], [0.2, 0.3, 0.5])
+    before = [divergence_finite(g, target, model).value for g in GENERATOR_PANEL]
+    probs[:] = [1.0, 0.0, 0.0]
+    np.testing.assert_array_equal(target.probs, [0.5, 0.25, 0.25])
+    assert [divergence_finite(g, target, model).value for g in GENERATOR_PANEL] == before
+    with pytest.raises(ValueError):
+        target.probs[0] = 0.0
 
 
 _SAMPLED_PAIRS = [

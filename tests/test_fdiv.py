@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import logsumexp
 
 from obrs import (
     DomainError,
@@ -25,6 +26,7 @@ from obrs.errors import AbsoluteContinuityError
 from obrs.fdiv import (
     GENERATOR_PANEL,
     Generator,
+    _logsumexp,
     discriminator_from_ratio,
     f_value,
     fstar_value,
@@ -83,6 +85,7 @@ def test_f_rejects_negative_ratio():
     for gen in GENERATOR_PANEL:
         with pytest.raises(DomainError):
             f_value(gen, -0.1)
+
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +356,7 @@ def test_renyi_large_order_approaches_max_divergence(two_point):
 def test_renyi_domain():
     t = FiniteDist([0, 1], [0.5, 0.5])
     m = FiniteDist([0, 1], [0.8, 0.2])
-    for bad in (0.0, -1.0, 1.0):
+    for bad in (0.0, -1.0, 1.0, math.nan, -math.inf):  # NaN returned NaN
         with pytest.raises(DomainError):
             renyi_divergence(bad, t, m)
     orphan = FiniteDist([0, 1], [1.0, 0.0])
@@ -361,6 +364,29 @@ def test_renyi_domain():
     assert math.isfinite(renyi_divergence(0.5, t, orphan))
     with pytest.raises(AbsoluteContinuityError):
         renyi_divergence(2.0, t, orphan)
+
+
+def test_renyi_order_inf_is_the_max_divergence(two_point):
+    # returned NaN
+    target, model = two_point
+    assert renyi_divergence(math.inf, target, model) == max_divergence(target, model)
+    orphan = FiniteDist([0, 1], [1.0, 0.0])
+    with pytest.raises(AbsoluteContinuityError):
+        renyi_divergence(math.inf, target, orphan)
+
+
+_log_terms = st.one_of(st.just(-math.inf), st.floats(-800.0, 800.0))
+
+
+@settings(max_examples=500)
+@given(a=st.lists(_log_terms, min_size=1, max_size=40), ties=st.integers(0, 3))
+@example(a=[-math.inf, -math.inf, -math.inf], ties=0)
+@example(a=[1.5, 1.5, -math.inf, 0.25], ties=0)
+def test_logsumexp_matches_scipy_bit_for_bit(a, ties):
+    a = np.asarray(a)
+    a[:ties] = a.max()  # ties at the maximum
+    got, want = _logsumexp(a), float(logsumexp(a))
+    assert got == want or (math.isnan(got) and math.isnan(want)), (got, want)
 
 
 def test_max_divergence_mixtures(mixture_pair):
@@ -382,6 +408,29 @@ def test_pr_generator_rejects_lam_that_is_not_finite_and_positive(lam):
         Generator.precision_recall(lam)
     with pytest.raises(DomainError):
         Generator.parse(f"pr:{lam!r}")
+
+
+_nan_among = st.lists(st.floats(0.01, 100.0), max_size=6).flatmap(
+    lambda xs: st.integers(0, len(xs)).map(lambda i: xs[:i] + [math.nan] + xs[i:])
+)
+
+
+@settings(max_examples=200)
+@given(gen=_generators, values=_nan_among, scalar=st.booleans())
+def test_pointwise_maps_reject_nan(gen, values, scalar):
+    # f_value(kl, nan) was 0.0 and f_value(reverse_kl, nan) inf; the dual
+    # maps returned nan: their "< 0" guards let NaN through
+    arg = math.nan if scalar else np.asarray(values)
+    with pytest.raises(DomainError):
+        f_value(gen, arg)
+    with pytest.raises(DomainError):
+        discriminator_from_ratio(gen, arg)
+    if gen.smooth:
+        with pytest.raises(DomainError):
+            ratio_from_discriminator(gen, -arg)
+    if gen.kind != "tv":
+        with pytest.raises(DomainError):
+            fstar_value(gen, -arg)
 
 
 _MC_PAIR = (single_gaussian(0.0, 1.0), single_gaussian(0.5, 1.5))

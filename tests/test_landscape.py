@@ -186,3 +186,10 @@ def test_fit_budget_widens_optimum_small():
     res2 = fit_grid(budget=2.0, mus=mus, sigmas=sigmas, n_nodes=2048)
     assert res2.best_sigma > res1.best_sigma
     assert res2.best_loss < res1.best_loss
+
+
+@pytest.mark.parametrize("lattice", [{"mus": []}, {"sigmas": []}])
+def test_fit_grid_rejects_an_empty_axis(lattice):
+    # raised a bare ValueError from argmin
+    with pytest.raises(DomainError):
+        fit_grid(n_nodes=64, **lattice)

@@ -18,8 +18,10 @@ from obrs import (
     refine,
     refined_finite,
 )
+from obrs.dist import pair_view
 from obrs.errors import DomainError, SupportMismatchError
-from obrs.fdiv import GENERATOR_PANEL, Generator, max_divergence
+from obrs.fdiv import GENERATOR_PANEL, Generator, _acceptance_loss, _fsum, max_divergence
+from obrs.oracle import GenOptimality, OptimalityReport, _solved
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +88,40 @@ def test_two_point_competitors_tie_at_best(two_point, rng):
     for gen_report in report.per_gen.values():
         assert gen_report.min_gap >= -report.tol
         assert gen_report.best_competitor_loss >= gen_report.refined_loss - report.tol
+
+
+def _per_trial_report(target, model, budget, trials, rng, tol):
+    """check_optimality as one _acceptance_loss call per trial and generator."""
+    _, ref = _solved(target, model, budget)
+    _, lp, lq, pw, qw = pair_view(target, model, "exact")
+    refined = {g.label: divergence_finite(g, target, ref.dist).value for g in GENERATOR_PANEL}
+    losses = {g.label: [] for g in GENERATOR_PANEL}
+    for _ in range(trials):
+        log_a = np.log(random_feasible_acceptance(model, budget, rng))
+        for g in GENERATOR_PANEL:
+            losses[g.label].append(_acceptance_loss(g, lp, lq, pw, qw, log_a, _fsum))
+    per_gen = {}
+    for label, values in losses.items():
+        best = min(values)
+        per_gen[label] = GenOptimality(
+            label, refined[label], best, best - refined[label],
+            sum(v < refined[label] - tol for v in values),
+        )
+    return OptimalityReport(budget=budget, trials=trials, tol=tol, per_gen=per_gen)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_batched_sweep_equals_the_per_trial_loop(seed):
+    rng = np.random.default_rng(seed)
+    target, model = random_instance(rng)
+    sup = math.exp(max_divergence(target, model))
+    budget = float(np.exp(rng.uniform(0.0, math.log(sup))))
+    state = rng.bit_generator.state
+    batched = check_optimality(target, model, budget, trials=200, rng=rng)
+    after = rng.random()
+    rng.bit_generator.state = state
+    assert _per_trial_report(target, model, budget, 200, rng, 1e-9) == batched
+    assert rng.random() == after  # the same draws, in the same order
 
 
 # ---------------------------------------------------------------------------
