@@ -76,10 +76,12 @@ from .sampling import (
     acceptance_from_target,
     calibrate,
     refine,
+    refine_with_drs,
     refined_finite,
     rejection_sample,
+    rejection_sample_shared,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import platform
@@ -53,13 +54,15 @@ from .landscape import (
     _fit_grids,
     landscape_1d,
 )
-from .oracle import _improvement_bound, _kl_renyi_bound, _solved, random_instance
+from .oracle import _improvement_bounds, _kl_renyi_bound, _solved, random_instance
 from .prcurve import _knee_grid, _pr_scan, predict_refined_curve
 from .sampling import (
     AcceptanceSpec,
     _calibrated_view,
     refine,
+    refine_with_drs,
     rejection_sample,
+    rejection_sample_shared,
 )
 
 
@@ -76,21 +79,41 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray | str) -> None:
     """Write a header and rows; a float ndarray is formatted in one pass.
 
     Its ``%.17g`` fields and \\r\\n line ends are what the row path writes
     for the same floats: csv quotes none of them, nan, inf and -0 included.
+    A str is the rows already in CSV form (see ``_csv_lines``).
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        if isinstance(rows, np.ndarray):
+        if isinstance(rows, str):
+            fh.write(rows)
+        elif isinstance(rows, np.ndarray):
             line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
             fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
         else:
             for row in rows:
                 writer.writerow([_fmt(v) for v in row])
+
+
+def _csv_lines(values) -> dict:
+    """The one-field CSV line of each value, as the row path writes it.
+
+    Each line goes through ``csv.writer`` once, so tuple atoms and labels
+    with a comma or a quote keep their quoting.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    lines = {}
+    for value in values:
+        writer.writerow([_fmt(value)])
+        lines[value] = buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+    return lines
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -322,12 +345,11 @@ def run_bounds(cfg: dict, out: Path) -> list[str]:
     canonical_kl_violated = False
     for name, t, m, budget in instances:
         solved = _solved(t, m, budget)
-        for gen in GENERATOR_PANEL:
-            rep = _improvement_bound(gen, t, m, budget, solved)
+        for rep in _improvement_bounds(GENERATOR_PANEL, t, m, budget, solved):
             if not rep.satisfied or not rep.witness_feasible:
                 general_violations += 1
             general_rows.append([
-                name, gen.label, budget, rep.lhs, rep.rhs, rep.slack,
+                name, rep.gen_label, budget, rep.lhs, rep.rhs, rep.slack,
                 rep.alpha, rep.witness_divergence, rep.witness_feasible, rep.satisfied,
             ])
         kr = _kl_renyi_bound(t, m, budget, solved)
@@ -395,25 +417,29 @@ def run_grid2d(cfg: dict, out: Path) -> list[str]:
     jitter_rng = np.random.default_rng([cfg["seed"], 0xD1])
     weights = jitter_rng.dirichlet(np.full(25, cfg["jitter"] / 25.0))
     surrogate = gaussian_grid_2d(cfg["surrogate_sigma"], cfg["spacing"], weights=weights)
-    # obrs at budget 1/rate (a rate at or below 1/M runs at 1/M, c = 1); the
-    # rate-matched drs shares the calibration, its shift -gamma being log(scale)
-    spec, sol = refine(
+    # obrs at budget 1/rate (a rate at or below 1/M runs at 1/M, c = 1); drs
+    # on the same calibration draws, its gamma matched to the obrs rate there
+    spec, drs, sol = refine_with_drs(
         target, surrogate, _budget_of_rate(rate), mode="sample",
         n=cfg["calibration"], rng=np.random.default_rng([cfg["seed"], 0xCA]),
     )
-    specs = {"baseline": AcceptanceSpec.unit(), "obrs": spec, "drs": spec}
+    specs = {"baseline": AcceptanceSpec.unit(), "obrs": spec, "drs": drs}
 
     n = cfg["samples"]
     radius = 4.0 * cfg["sigma"]
     quota = max(1, n // 250)
     modes = target.means
-    max_draws = int(math.ceil(50 * n / rate))
+    # beyond float range the cap is no cap: the sampler then runs at 1/M > 0
+    max_draws = 50 * n / rate
+    max_draws = int(math.ceil(max_draws)) if max_draws < math.inf else None
     rows = []
     for rep in range(cfg["repeats"]):
-        for method, spec in specs.items():
-            # common random numbers: every method replays the same stream
-            run_rng = np.random.default_rng([cfg["seed"], 1, rep])
-            result = rejection_sample(surrogate, spec, n, run_rng, max_draws=max_draws)
+        # common random numbers: every method thins the same proposal stream
+        results = rejection_sample_shared(
+            surrogate, tuple(specs.values()), n, np.random.default_rng([cfg["seed"], 1, rep]),
+            max_draws=max_draws,
+        )
+        for (method, spec), result in zip(specs.items(), results):
             precision, recall = _grid2d_metrics(result.samples, modes, radius, quota)
             ratio_evals = 0 if spec.kind == "unit" else result.draws_used
             rows.append([
@@ -432,7 +458,7 @@ def run_grid2d(cfg: dict, out: Path) -> list[str]:
         "calibration_rate": sol.rate,
         "sup_ratio": sol.sup_ratio,
         "scale": None if unit else sol.scale,
-        "gamma": None if unit else 0.0 - sol.log_scale,  # 0.0, not -0.0, at c = 1
+        "gamma": None if unit else -drs.log_scale,
         "methods": {},
     }
     for method in specs:
@@ -475,8 +501,10 @@ def run_sample(cfg: dict, out: Path) -> list[str]:
         rows = np.atleast_2d(result.samples.T).T  # (n,) -> (n, 1)
         header = ["x"] if rows.shape[1] == 1 else ["x", "y"]
     else:
+        # one line per distinct atom, written out once per draw
         header = ["sample"]
-        rows = [[s] for s in result.samples]
+        lines = _csv_lines(dict.fromkeys(result.samples))
+        rows = "".join([lines[s] for s in result.samples])
     _write_csv(out / "samples.csv", header, rows)
     _write_json(out / "summary.json", {
         "budget": budget,
@@ -612,6 +640,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _budget_of_rate(rate: float) -> float:
     if not 0 < rate <= 1:  # also rejects NaN
         raise DomainError(f"rate must lie in (0, 1], got {rate!r}")
+    if not 1.0 / rate < math.inf:
+        raise DomainError(f"rate {rate!r} is too small: its budget 1/rate is not a finite number")
     return 1.0 / rate
 
 

@@ -211,34 +211,38 @@ def check_improvement_bound(
     the budget-K ball, and the refined distribution is at least as good as
     any ball member. Both the bound and the witness chain are evaluated.
     """
-    return _improvement_bound(gen, target, model, budget, _solved(target, model, budget), tol)
+    solved = _solved(target, model, budget)
+    return _improvement_bounds((gen,), target, model, budget, solved, tol)[0]
 
 
-def _improvement_bound(gen, target, model, budget, solved, tol=_BOUND_TOL) -> BoundReport:
-    """``check_improvement_bound`` on an instance already ``_solved``."""
+def _improvement_bounds(gens, target, model, budget, solved, tol=_BOUND_TOL) -> list[BoundReport]:
+    """``check_improvement_bound`` for each of gens on an instance already
+    ``_solved``; the witness depends on the instance alone and is built once."""
     sol, ref = solved
-    shift = -gen.f_at_one
-    base = divergence_finite(gen, target, model).value + shift
-    lhs = divergence_finite(gen, target, ref.dist).value + shift
     sup = math.exp(sol.log_sup)
     alpha = min(1.0, (budget - 1.0) / sup)
-    rhs = (1.0 - alpha) * base
     witness = model.probs + alpha * (target.probs - model.probs)
     witness_dist = FiniteDist(model.atoms, witness / math.fsum(witness.tolist()))
-    excess = witness - budget * model.probs
-    witness_div = divergence_finite(gen, target, witness_dist).value + shift
-    return BoundReport(
-        gen_label=gen.label,
-        budget=budget,
-        lhs=lhs,
-        rhs=rhs,
-        base=base,
-        alpha=alpha,
-        witness_divergence=witness_div,
-        witness_feasible=bool(np.max(excess) <= 1e-12),
-        witness_max_excess=float(np.max(excess)),
-        satisfied=bool(lhs <= rhs + tol),
-    )
+    max_excess = float(np.max(witness - budget * model.probs))
+    reports = []
+    for gen in gens:
+        shift = -gen.f_at_one
+        base = divergence_finite(gen, target, model).value + shift
+        lhs = divergence_finite(gen, target, ref.dist).value + shift
+        rhs = (1.0 - alpha) * base
+        reports.append(BoundReport(
+            gen_label=gen.label,
+            budget=budget,
+            lhs=lhs,
+            rhs=rhs,
+            base=base,
+            alpha=alpha,
+            witness_divergence=divergence_finite(gen, target, witness_dist).value + shift,
+            witness_feasible=max_excess <= 1e-12,
+            witness_max_excess=max_excess,
+            satisfied=bool(lhs <= rhs + tol),
+        ))
+    return reports
 
 
 @dataclass(frozen=True)

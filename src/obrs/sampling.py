@@ -17,9 +17,17 @@ equation is solved exactly by a sort-and-scan (the water-filling step of
 simplex projection), in log space: proposal families whose ratios overflow
 double precision (log-ratios of several hundred) need no special cases.
 Acceptance functions are ``unit``, ``clipped`` (the shape above, with
-log_scale = log c; discriminator rejection sampling is the same kind with
-log_scale = -gamma) and ``table`` (explicit per-atom acceptance on a finite
-support).
+log_scale = log c), ``logistic`` and ``table`` (explicit per-atom acceptance
+on a finite support). ``logistic`` is the published discriminator rejection
+sampling acceptance (DRS: Azadi et al., ICLR 2019, arXiv:1810.06758) on the
+same ratio and envelope, a = sigmoid(F) with
+
+    F = log r - log(1 - exp(log r - log M - eps)) - gamma,
+
+saturating at 1 where log r - log M >= eps (proposals above a sample
+envelope); ``refine_with_drs`` solves its shift gamma to the rate of the
+calibrated acceptance on the same view. ``rejection_sample_shared`` thins
+one proposal stream with several acceptances at once.
 """
 
 from __future__ import annotations
@@ -50,6 +58,8 @@ from .errors import (
 )
 
 _BATCH = 8192  # proposals drawn per round of rejection sampling
+_DRS_EPS = 1e-6  # the DRS envelope margin eps: F is finite below log M + eps
+_GAMMA_TOL = 1e-12  # how far the DRS rate may miss the rate it is matched to
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +75,22 @@ def _log_accept(log_r, log_shift: float):
     """
     with np.errstate(invalid="ignore"):
         return np.fmin(log_r + log_shift, 0.0)
+
+
+def _drs_logit(rel, log_sup: float):
+    """F at gamma = 0 for log-ratios rel relative to the envelope log_sup.
+
+    F = rel + log_sup - log(1 - exp(rel - eps)) below rel = eps and +inf
+    (acceptance 1) from there; r = 0 gives -inf (acceptance 0).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = rel + log_sup - np.log(-np.expm1(rel - _DRS_EPS))
+    return np.where(rel < _DRS_EPS, f, np.inf)
+
+
+def _log_sigmoid(x):
+    """log sigmoid(x) = -log(1 + exp(-x)), exact at both tails."""
+    return -np.logaddexp(0.0, -x)
 
 
 class _LogScaled:
@@ -83,10 +109,11 @@ class _LogScaled:
 class AcceptanceSpec(_LogScaled):
     """A concrete acceptance function a(x) in [0, 1].
 
-    kind is one of ``unit``, ``clipped``, ``table``. ``clipped`` carries the
-    ratio evaluator plus the log envelope and log slack of
-    min(exp(log_scale) * r / exp(log_sup), 1); ``table`` carries explicit
-    per-atom probabilities.
+    kind is one of ``unit``, ``clipped``, ``logistic``, ``table``.
+    ``clipped`` carries the ratio evaluator plus the log envelope and log
+    slack of min(exp(log_scale) * r / exp(log_sup), 1); ``logistic`` carries
+    the same ratio and envelope, with log_scale = -gamma, for the DRS
+    acceptance sigmoid(F); ``table`` carries explicit per-atom probabilities.
     """
 
     kind: str
@@ -116,6 +143,14 @@ class AcceptanceSpec(_LogScaled):
         return cls(kind="clipped", ratio=ratio, log_sup=log_sup, log_scale=log_scale)
 
     @classmethod
+    def logistic(cls, ratio: RatioFn, log_sup: float, gamma: float) -> "AcceptanceSpec":
+        """The DRS acceptance sigmoid(F) at shift gamma; a NaN or non-finite
+        log_sup or gamma raises DomainError."""
+        if not (abs(log_sup) < math.inf and abs(gamma) < math.inf):  # fails on NaN
+            raise DomainError(f"DRS needs a finite envelope and shift, got {log_sup!r}, {gamma!r}")
+        return cls(kind="logistic", ratio=ratio, log_sup=log_sup, log_scale=-gamma)
+
+    @classmethod
     def from_table(cls, table: dict) -> "AcceptanceSpec":
         vals = np.asarray(list(table.values()), dtype=float)
         if not np.all((vals >= 0) & (vals <= 1)):  # also rejects NaN
@@ -139,10 +174,15 @@ class AcceptanceSpec(_LogScaled):
             if scalar:
                 return float(self.table[x])
             return np.array([self.table[a] for a in x], dtype=float)
-        lr = self.ratio.log([x] if scalar else x)
-        lr = np.atleast_1d(np.asarray(lr, dtype=float))
-        a = np.exp(_log_accept(lr - self.log_sup, self.log_scale))
+        a = self._of_log_ratio(self.ratio.log([x] if scalar else x))
         return float(a[0]) if scalar else a
+
+    def _of_log_ratio(self, lr) -> np.ndarray:
+        """A ratio-based acceptance from log-ratios already evaluated."""
+        rel = np.atleast_1d(np.asarray(lr, dtype=float)) - self.log_sup
+        if self.kind == "clipped":
+            return np.exp(_log_accept(rel, self.log_scale))
+        return np.exp(_log_sigmoid(_drs_logit(rel, self.log_sup) + self.log_scale))
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +286,54 @@ def calibrate(log_r, weights, budget: float) -> ScaleSolution:
     return ScaleSolution(log_scale, log_sup, rate, budget, status)
 
 
+def _match_gamma(
+    logit: np.ndarray, weights: np.ndarray, target_rate: float
+) -> tuple[float, float]:
+    """The DRS shift gamma with sum_i w_i sigmoid(F_i - gamma) = target_rate.
+
+    logit are the F_i at gamma = 0 (``_drs_logit``). The rate falls strictly
+    in gamma, from the mass W of the live points (w > 0, F > -inf) to 0, so a
+    target in (0, W) has one root. Every sigmoid is at least t/W at
+    gamma = min F - logit(t/W) and at most t/W at max F - logit(t/W): that
+    brackets it, and a Newton step that leaves the bracket falls back to
+    bisection. Returns (gamma, the rate measured at gamma); a target outside
+    (0, W), or a rate that ends more than 1e-12 from it, raises
+    ConvergenceError.
+    """
+    live = (weights > 0) & (logit > -np.inf)
+    f, w = logit[live], weights[live]
+    mass = float(np.sum(w))
+    if not 0 < target_rate < mass:
+        raise ConvergenceError(f"target rate {target_rate} outside the reachable (0, {mass})")
+    p = target_rate / mass
+    shift = math.log(p) - math.log1p(-p)
+    lo, hi = float(np.min(f)) - shift, float(np.max(f)) - shift
+    gamma = 0.5 * (lo + hi)
+    best = (math.inf, gamma, math.nan)
+    for _ in range(200):  # Newton takes a few passes; bisection alone, about 60
+        a = np.exp(_log_sigmoid(f - gamma))
+        rate = float(np.dot(w, a))
+        best = min(best, (abs(rate - target_rate), gamma, rate))
+        if rate == target_rate:
+            break
+        if rate > target_rate:
+            lo = gamma
+        else:
+            hi = gamma
+        slope = float(np.dot(w, a * (1.0 - a)))  # -d rate / d gamma
+        step = gamma + (rate - target_rate) / slope if slope > 0 else math.nan
+        nxt = step if lo < step < hi else 0.5 * (lo + hi)
+        if nxt == gamma:
+            break
+        gamma = nxt
+    err, gamma, rate = best
+    if not err <= _GAMMA_TOL:
+        raise ConvergenceError(
+            f"DRS rate {rate!r} misses {target_rate!r} by more than {_GAMMA_TOL:g}"
+        )
+    return gamma, rate
+
+
 def _calibrated_view(
     target: Distribution,
     model: Distribution,
@@ -307,48 +395,85 @@ def rejection_sample(
     if n_target is not an integer >= 1, max_draws not None or an integer
     >= 0, or a finite model's exact acceptance rate 0.
     """
+    return rejection_sample_shared(model, (spec,), n_target, rng, max_draws)[0]
+
+
+def rejection_sample_shared(
+    model: Distribution,
+    specs: Sequence[AcceptanceSpec],
+    n_target: int,
+    rng: np.random.Generator,
+    max_draws: int | None = None,
+) -> list[SampleResult]:
+    """Thin one proposal stream with every spec, each to its own quota.
+
+    Each batch of proposals and of uniforms is drawn once, and its
+    log-ratios are evaluated once per ratio evaluator, only while a spec
+    that uses it still needs samples. Every spec keeps its quota and its
+    draws_used, so result i is bit for bit what ``rejection_sample(model,
+    specs[i], n_target, rng, max_draws)`` returns from the same rng state;
+    the rng ends where the spec that draws longest leaves it. When max_draws
+    run out, the BudgetExhaustedError is that of the first spec still short
+    of its quota. Bad counts and a spec with exact rate 0 under a finite
+    model raise DomainError before any draw.
+    """
     n_target = _count(n_target, "samples to keep", 1)
     if max_draws is not None:
         max_draws = _count(max_draws, "proposals to examine", 0)
     if isinstance(model, FiniteDist):
         # the exact acceptance rate; at 0 the loop below would never return
         live = model.probs > 0
-        a = spec.accept_prob([x for x, m in zip(model.atoms, live) if m])
-        if not np.dot(model.probs[live], a) > 0:
-            raise DomainError("acceptance rate is 0 under the model: no proposal can pass")
-    kept: list = []
-    n_kept = 0
-    draws_used = 0
+        live_atoms = [x for x, m in zip(model.atoms, live) if m]
+        for spec in specs:
+            if not np.dot(model.probs[live], spec.accept_prob(live_atoms)) > 0:
+                raise DomainError("acceptance rate is 0 under the model: no proposal can pass")
+    kept: list[list] = [[] for _ in specs]
+    n_kept = [0] * len(specs)
+    draws_used = [0] * len(specs)
+    active = list(range(len(specs)))
     examined = 0
-    while n_kept < n_target:
+    while active:
         batch = _BATCH
         if max_draws is not None:
             batch = min(batch, max_draws - examined)
             if batch <= 0:
+                short = n_kept[active[0]]
                 raise BudgetExhaustedError(
-                    f"max_draws={max_draws} exhausted with {n_kept}/{n_target} accepted",
-                    accepted=n_kept,
+                    f"max_draws={max_draws} exhausted with {short}/{n_target} accepted",
+                    accepted=short,
                     draws_used=examined,
                 )
         xs = model.sample(rng, batch)
-        a = np.asarray(spec.accept_prob(xs), dtype=float)
         u = rng.random(batch)
-        hits = np.flatnonzero(u < a)
         examined += batch
-        if hits.size:
-            take = hits[: n_target - n_kept]
-            if isinstance(xs, np.ndarray):
-                kept.append(xs[take])
+        log_r: dict[int, np.ndarray] = {}  # per ratio evaluator, by identity
+        for i in list(active):
+            spec = specs[i]
+            if spec.ratio is None:
+                a = np.asarray(spec.accept_prob(xs), dtype=float)
             else:
-                kept.extend(xs[i] for i in take)
-            n_kept += len(take)
-            if n_kept == n_target:
-                draws_used = examined - batch + int(take[-1]) + 1
-    if isinstance(model, GaussianMixture):
-        samples = np.concatenate(kept) if len(kept) > 1 else kept[0]
-    else:
-        samples = kept
-    return SampleResult(samples=samples, accepted=n_target, draws_used=draws_used)
+                key = id(spec.ratio)
+                if key not in log_r:
+                    log_r[key] = spec.ratio.log(xs)
+                a = spec._of_log_ratio(log_r[key])
+            hits = np.flatnonzero(u < a)
+            if not hits.size:
+                continue
+            take = hits[: n_target - n_kept[i]]
+            if isinstance(xs, np.ndarray):
+                kept[i].append(xs[take])
+            else:
+                kept[i].extend(xs[j] for j in take)
+            n_kept[i] += len(take)
+            if n_kept[i] == n_target:
+                draws_used[i] = examined - batch + int(take[-1]) + 1
+                active.remove(i)
+    results = []
+    for samples, used in zip(kept, draws_used):
+        if isinstance(model, GaussianMixture):
+            samples = np.concatenate(samples) if len(samples) > 1 else samples[0]
+        results.append(SampleResult(samples=samples, accepted=n_target, draws_used=used))
+    return results
 
 
 @dataclass(frozen=True)
@@ -407,6 +532,19 @@ def acceptance_from_target(
     return AcceptanceSpec.from_table(table)
 
 
+def _refined(target, model, budget, mode, eps, n, rng) -> tuple:
+    """(ratio, view, sol, spec): ``refine`` with the view it calibrated on."""
+    ratio = ratio_of(target, model)
+    view, [(sol, _)] = _calibrated_view(target, model, (budget,), mode, n, rng=rng)
+    if sol.status == "unit":
+        return ratio, view, sol, AcceptanceSpec.unit()
+    if sol.status == "budgeted" and not abs(sol.rate - 1.0 / budget) <= eps:
+        raise ConvergenceError(
+            f"rate {sol.rate!r} misses 1/K = {1.0 / budget!r} by more than {eps:g}"
+        )
+    return ratio, view, sol, AcceptanceSpec.clipped(ratio, sol.log_sup, sol.log_scale)
+
+
 def refine(
     target: Distribution,
     model: Distribution,
@@ -425,12 +563,31 @@ def refine(
     is fully reproducible. A budgeted rate more than eps from 1/budget
     raises ConvergenceError.
     """
-    ratio = ratio_of(target, model)
-    _, [(sol, _)] = _calibrated_view(target, model, (budget,), mode, n, rng=rng)
+    _, _, sol, spec = _refined(target, model, budget, mode, eps, n, rng)
+    return spec, sol
+
+
+def refine_with_drs(
+    target: Distribution,
+    model: Distribution,
+    budget: float,
+    mode: str = "exact",
+    n: int = 4096,
+    rng: np.random.Generator | None = None,
+) -> tuple[AcceptanceSpec, AcceptanceSpec, ScaleSolution]:
+    """``refine`` plus the rate-matched DRS acceptance: (spec, drs, sol).
+
+    drs is the ``logistic`` acceptance on the same ratio and envelope, its
+    gamma solved so that its rate on the same view is sol.rate within 1e-12:
+    no second view and no further ratio evaluation. The obrs rate is held
+    to 1/budget at the same 1e-12, so the call has one tolerance. At status
+    ``unit`` both accept everything.
+    """
+    ratio, (_, lp, lq, _, qw), sol, spec = _refined(
+        target, model, budget, mode, _GAMMA_TOL, n, rng
+    )
     if sol.status == "unit":
-        return AcceptanceSpec.unit(), sol
-    if sol.status == "budgeted" and not abs(sol.rate - 1.0 / budget) <= eps:
-        raise ConvergenceError(
-            f"rate {sol.rate!r} misses 1/K = {1.0 / budget!r} by more than {eps:g}"
-        )
-    return AcceptanceSpec.clipped(ratio, sol.log_sup, sol.log_scale), sol
+        return spec, spec, sol
+    logit = _drs_logit(_log_ratio(lp, lq) - sol.log_sup, sol.log_sup)
+    gamma, _ = _match_gamma(logit, qw, sol.rate)
+    return spec, AcceptanceSpec.logistic(ratio, sol.log_sup, gamma), sol

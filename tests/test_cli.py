@@ -11,9 +11,21 @@ import jsonschema
 import numpy as np
 import pytest
 
-from obrs import FiniteDist, ObrsError, bimodal_target, gaussian_grid_2d, single_gaussian
+from obrs import (
+    AcceptanceSpec,
+    FiniteDist,
+    ObrsError,
+    bimodal_target,
+    gaussian_grid_2d,
+    ratio_of,
+    refine,
+    refine_with_drs,
+    rejection_sample,
+    single_gaussian,
+)
 from obrs.cli import (
     _build_parser,
+    _fmt,
     _grid2d_metrics,
     _manifest_schema,
     _write_csv,
@@ -21,7 +33,7 @@ from obrs.cli import (
     _write_manifest,
     main,
 )
-from obrs.dist import GaussianMixture
+from obrs.dist import GaussianMixture, pair_view
 
 
 def run_cli(*args) -> int:
@@ -143,15 +155,86 @@ def test_grid2d_at_rate_one_accepts_every_proposal(tmp_path):
         assert row["ratio_evals"] == "0"
 
 
+def _grid2d_pair(cfg):
+    """The target and jittered surrogate of a grid2d run's config."""
+    target = gaussian_grid_2d(cfg["sigma"], cfg["spacing"])
+    jitter = np.full(25, cfg["jitter"] / 25.0)
+    weights = np.random.default_rng([cfg["seed"], 0xD1]).dirichlet(jitter)
+    return target, gaussian_grid_2d(cfg["surrogate_sigma"], cfg["spacing"], weights=weights)
+
+
 def test_grid2d_rate_below_one_over_m_runs_the_unbudgeted_sampler(tmp_path):
     # budget 1/rate >= M: c = 1 and rate 1/M, not a negative shift at rate 0.05
     text, rows = _grid2d_at_rate(tmp_path, 0.05)
     summary = json.loads(text)
-    assert '"gamma": 0.0,' in text
+    # drs is matched to that rate on the same calibration draws
+    cfg = read_manifest(tmp_path / "rate-0.05")["config"]
+    target, surrogate = _grid2d_pair(cfg)
+    cal_rng = np.random.default_rng([cfg["seed"], 0xCA])
+    x, lp, lq, _, qw = pair_view(target, surrogate, "sample", cfg["calibration"], rng=cal_rng)
+    log_sup = float(np.max(lp - lq))
+    drs = AcceptanceSpec.logistic(ratio_of(target, surrogate), log_sup, summary["gamma"])
+    assert abs(float(np.dot(qw, drs.accept_prob(x))) - summary["calibration_rate"]) <= 1e-12
     assert summary["scale"] == 1.0
     assert summary["calibration_rate"] == pytest.approx(1 / summary["sup_ratio"], rel=0.2)
     for row in rows:
         assert float(row["measured_rate"]) == pytest.approx(summary["calibration_rate"], rel=0.2)
+
+
+def test_grid2d_rate_whose_draw_cap_overflows_runs(tmp_path):
+    # 1/rate is finite but 50 * samples / rate is not: math.ceil raised OverflowError
+    text, rows = _grid2d_at_rate(tmp_path, 1e-306)
+    assert json.loads(text)["scale"] == 1.0
+    assert {row["accepted"] for row in rows} == {"300"}
+
+
+@pytest.mark.parametrize("repeats", [1, 3])
+def test_grid2d_draws_and_evaluates_each_batch_once(tmp_path, monkeypatch, repeats):
+    # one proposal stream per repeat: one model draw and one log-ratio (two
+    # log-densities) per batch, besides the calibration sample and its ratio
+    calls = {"log_density": 0, "sample": 0}
+    for name in calls:
+        original = getattr(GaussianMixture, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(GaussianMixture, name, counted)
+    assert run_cli(
+        "grid2d", "--seed", 2, "--repeats", repeats, "--samples", 300,
+        "--calibration", 2000, "--out", tmp_path / "g",
+    ) == 0
+    assert calls == {"log_density": 2 + 2 * repeats, "sample": 1 + repeats}
+
+
+def test_grid2d_rows_match_separate_runs_of_each_method(tmp_path):
+    out = tmp_path / "g"
+    assert run_cli(
+        "grid2d", "--seed", 5, "--repeats", 2, "--samples", 300, "--calibration", 2000,
+        "--out", out,
+    ) == 0
+    cfg = read_manifest(out)["config"]
+    target, surrogate = _grid2d_pair(cfg)
+    spec, drs, _ = refine_with_drs(
+        target, surrogate, 1 / cfg["rate"], mode="sample", n=cfg["calibration"],
+        rng=np.random.default_rng([cfg["seed"], 0xCA]),
+    )
+    assert drs.kind == "logistic"
+    methods = {"baseline": AcceptanceSpec.unit(), "obrs": spec, "drs": drs}
+    lines = (out / "grid2d.csv").read_text(encoding="utf-8").splitlines()[1:]
+    expected = []
+    for rep in range(cfg["repeats"]):
+        for method, s in methods.items():
+            res = rejection_sample(
+                surrogate, s, 300, np.random.default_rng([cfg["seed"], 1, rep]),
+                max_draws=math.ceil(50 * 300 / cfg["rate"]),
+            )
+            precision, recall = _grid2d_metrics(res.samples, target.means, 4.0 * cfg["sigma"], 1)
+            row = [method, rep, precision, recall, res.accepted, res.draws_used,
+                   0 if s.kind == "unit" else res.draws_used, res.rate]
+            expected.append(",".join(_fmt(v) for v in row))
+    assert sorted(lines) == sorted(expected)
 
 
 def test_bounds_solves_each_instance_once(tmp_path, monkeypatch):
@@ -168,6 +251,21 @@ def test_bounds_solves_each_instance_once(tmp_path, monkeypatch):
     monkeypatch.setattr(obrs.oracle, "refine", counted)
     assert run_cli("bounds", "--seed", 1, "--instances", 10, "--out", tmp_path / "b") == 0
     assert len(calls) == 11
+
+
+def test_bounds_builds_each_witness_once(tmp_path, monkeypatch):
+    # per instance: its two distributions, its refined distribution and one
+    # mixture witness shared by the five generators (it was built per generator)
+    calls = []
+    init = FiniteDist.__init__
+
+    def counted(self, *args):
+        calls.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(FiniteDist, "__init__", counted)
+    assert run_cli("bounds", "--seed", 1, "--instances", 10, "--out", tmp_path / "b") == 0
+    assert len(calls) == 4 * 11
 
 
 def test_sample_command_and_rerun(tmp_path):
@@ -205,6 +303,29 @@ def test_sample_command_finite_pair(tmp_path):
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert summary["status"] == "budgeted"
     assert summary["accepted"] == 100
+
+
+@pytest.mark.parametrize(
+    "atoms",
+    [[0, 1, 2], [(0, 1), (1, 0), (2, 2)], ["a,b", 'say "x"', "plain", "x\ny"], [True, 2.5, -1]],
+)
+def test_finite_samples_csv_matches_the_row_path(tmp_path, atoms):
+    # each atom's line is formatted once; the bytes are those of one row per sample
+    target = FiniteDist(atoms, np.full(len(atoms), 1 / len(atoms)))
+    model = FiniteDist(atoms, np.linspace(1, 2, len(atoms)) / np.sum(np.linspace(1, 2, len(atoms))))
+    files = []
+    for name, dist in (("t.json", target), ("m.json", model)):
+        (tmp_path / name).write_text(json.dumps(dist.to_json()), encoding="utf-8")
+        files.append(tmp_path / name)
+    out = tmp_path / "s"
+    assert run_cli(
+        "sample", "--target", files[0], "--model", files[1], "--budget", 1.5,
+        "--samples", 300, "--seed", 8, "--out", out,
+    ) == 0
+    spec, _ = refine(target, model, 1.5, mode="exact")
+    res = rejection_sample(model, spec, 300, np.random.default_rng([8, 2]))
+    _write_csv(tmp_path / "rows.csv", ["sample"], [[a] for a in res.samples])
+    assert (out / "samples.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_seventeen_digit_floats(tmp_path):
@@ -300,7 +421,7 @@ def _finite_pair_files(tmp_path):
     return ["--target", target_file, "--model", model_file, "--seed", 1, "--samples", 10]
 
 
-@pytest.mark.parametrize("rate", ["0", "nan", "-0.5"])
+@pytest.mark.parametrize("rate", ["0", "nan", "-0.5", "1e-310"])
 @pytest.mark.parametrize("command", ["refine", "sample", "grid2d"])
 def test_rate_outside_unit_interval_exits_one(tmp_path, capsys, command, rate):
     extra = {
@@ -312,7 +433,7 @@ def test_rate_outside_unit_interval_exits_one(tmp_path, capsys, command, rate):
     assert run_cli(command, "--rate", rate, *extra, "--out", out) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "rate" in err
-    assert not (out / "manifest.json").exists()
+    assert not out.exists() or list(out.glob("*")) == []
 
 
 @pytest.mark.parametrize("command", ["refine", "sample"])

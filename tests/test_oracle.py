@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from obrs import (
     FiniteDist,
@@ -16,6 +18,7 @@ from obrs import (
     random_feasible_acceptance,
     random_instance,
     refine,
+    refine_with_drs,
     refined_finite,
 )
 from obrs.dist import pair_view
@@ -122,6 +125,21 @@ def test_batched_sweep_equals_the_per_trial_loop(seed):
     rng.bit_generator.state = state
     assert _per_trial_report(target, model, budget, 200, rng, 1e-9) == batched
     assert rng.random() == after  # the same draws, in the same order
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(0.02, 0.98))
+def test_obrs_beats_the_published_drs_at_the_same_rate(seed, log_budget_share):
+    # the paper's optimality claim against its named competitor: DRS, its
+    # gamma matched to the exact rate 1/K, loses under every generator
+    target, model = random_instance(np.random.default_rng(seed))
+    budget = math.exp(log_budget_share * max_divergence(target, model))
+    spec, drs, sol = refine_with_drs(target, model, budget)
+    assert sol.status == "budgeted" and drs.kind == "logistic"
+    obrs_ref, drs_ref = refined_finite(model, spec), refined_finite(model, drs)
+    assert drs_ref.rate == pytest.approx(1 / budget, abs=1e-11)
+    for gen in GENERATOR_PANEL:
+        obrs_loss = divergence_finite(gen, target, obrs_ref.dist).value
+        assert divergence_finite(gen, target, drs_ref.dist).value >= obrs_loss - 1e-9, gen.label
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from obrs import (
     DomainError,
     FiniteDist,
     OutOfBallError,
+    SampleResult,
     acceptance_from_target,
     bimodal_target,
     budgeted_loss,
@@ -27,12 +28,16 @@ from obrs import (
     random_instance,
     ratio_of,
     refine,
+    refine_with_drs,
     refined_finite,
     rejection_sample,
+    rejection_sample_shared,
     single_gaussian,
 )
+from obrs.dist import pair_view
+from obrs.errors import ConvergenceError
 from obrs.fdiv import Generator
-from obrs.sampling import _solve_log_shift
+from obrs.sampling import _DRS_EPS, _drs_logit, _match_gamma, _solve_log_shift
 
 
 def _exact_view(target, model):
@@ -437,3 +442,168 @@ def test_clipped_spec_keeps_the_smallest_solved_slack(mixture_pair):
 def test_clipped_spec_keeps_infinite_slack_as_accept_all(mixture_pair):
     spec = AcceptanceSpec.clipped(ratio_of(*mixture_pair), 1.0, math.inf)
     np.testing.assert_array_equal(spec.accept_prob(np.linspace(-5, 5, 11)), np.ones(11))
+
+
+# ---------------------------------------------------------------------------
+# The published DRS acceptance
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("budget", [1.5, 2.5, 4.0, 40.0])
+def test_drs_gamma_matches_the_calibrated_rate_on_its_view(budget):
+    # the rate at the solved gamma, measured through the spec on the same
+    # calibration draws, is the obrs rate there (1/K, or 1/M past the envelope)
+    target = gaussian_grid_2d(0.05, 1.0)
+    model = gaussian_grid_2d(0.1, 1.0)
+    spec, drs, sol = refine_with_drs(
+        target, model, budget, mode="sample", n=4000, rng=np.random.default_rng(5)
+    )
+    x, *_, qw = pair_view(target, model, "sample", 4000, rng=np.random.default_rng(5))
+    assert drs.kind == "logistic" and drs.log_sup == sol.log_sup
+    assert abs(float(np.dot(qw, drs.accept_prob(x))) - sol.rate) <= 1e-12
+    assert abs(float(np.dot(qw, spec.accept_prob(x))) - sol.rate) <= 1e-12
+
+
+def test_drs_on_a_finite_pair_keeps_the_exact_rate(two_point):
+    target, model = two_point
+    _, drs, sol = refine_with_drs(target, model, 2.0)
+    assert refined_finite(model, drs).rate == pytest.approx(0.5, abs=1e-12)
+    # the unit budget accepts everything under both
+    spec, drs, sol = refine_with_drs(target, model, 1.0)
+    assert spec.kind == drs.kind == "unit" and sol.status == "unit"
+
+
+def test_drs_saturates_above_the_envelope_and_rejects_zero_ratio():
+    target = FiniteDist([0, 1, 2], [0.0, 0.5, 0.5])
+    model = FiniteDist([0, 1, 2], [0.2, 0.4, 0.4])
+    r = ratio_of(target, model)
+    log_m = math.log(1.25)
+    # ratios 2 eps above the envelope are accepted whatever gamma; r = 0 never is
+    drs = AcceptanceSpec.logistic(r, log_m - 2 * _DRS_EPS, 3.0)
+    a = drs.accept_prob(model.atoms)
+    assert a[0] == 0.0 and np.all(a[1:] == 1.0)
+    a = AcceptanceSpec.logistic(r, log_m + 1.0, 3.0).accept_prob(model.atoms)
+    assert a[0] == 0.0 and np.all((0 < a[1:]) & (a[1:] < 1))
+
+
+def test_drs_logit_is_the_published_formula():
+    rel = np.array([-np.inf, -30.0, -2.0, -1e-3, 0.0, _DRS_EPS / 2, _DRS_EPS, 1.0])
+    f = _drs_logit(rel, 0.7)
+    with np.errstate(divide="ignore"):
+        ref = rel[:6] + 0.7 - np.log(1.0 - np.exp(rel[:6] - _DRS_EPS))
+    np.testing.assert_allclose(f[1:6], ref[1:], rtol=1e-9)
+    assert f[0] == -np.inf and np.all(f[6:] == np.inf)
+
+
+@pytest.mark.parametrize(
+    "log_sup, gamma", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)]
+)
+def test_logistic_spec_rejects_non_finite_parameters(mixture_pair, log_sup, gamma):
+    with pytest.raises(DomainError):
+        AcceptanceSpec.logistic(ratio_of(*mixture_pair), log_sup, gamma)
+
+
+def test_drs_gamma_outside_the_reachable_rates_raises():
+    logit = np.array([-np.inf, 0.0, 1.0])
+    weights = np.full(3, 1 / 3)
+    with pytest.raises(ConvergenceError):
+        _match_gamma(logit, weights, 2 / 3)  # the live mass: only gamma = -inf reaches it
+    gamma, rate = _match_gamma(logit, weights, 0.25)
+    assert abs(rate - 0.25) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# One proposal stream for several acceptances
+# ---------------------------------------------------------------------------
+
+
+def _specs_for(model, target, kinds, rng):
+    """Acceptances of the given kinds over a pair; ratio-based ones split
+    between two evaluators of the same ratio."""
+    ratios = [ratio_of(target, model), ratio_of(target, model)]
+    mode = "exact" if isinstance(model, FiniteDist) else "quadrature"
+    log_sup = refine(target, model, 1.5, mode=mode)[1].log_sup
+    specs = []
+    for i, kind in enumerate(kinds):
+        r = ratios[i % 2]
+        if kind == "unit":
+            specs.append(AcceptanceSpec.unit())
+        elif kind == "clipped":
+            specs.append(AcceptanceSpec.clipped(r, log_sup, float(rng.uniform(-2.0, 0.5))))
+        else:
+            specs.append(AcceptanceSpec.logistic(r, log_sup, float(rng.uniform(-2.0, 3.0))))
+    return specs
+
+
+def _reference_sample(model, spec, n_target, rng, max_draws):
+    """The one-spec batch loop, written out: the reference for the shared stream."""
+    kept, n_kept, examined = [], 0, 0
+    while n_kept < n_target:
+        batch = 8192 if max_draws is None else min(8192, max_draws - examined)
+        if batch <= 0:
+            raise BudgetExhaustedError(
+                f"max_draws={max_draws} exhausted with {n_kept}/{n_target} accepted",
+                accepted=n_kept, draws_used=examined,
+            )
+        xs = model.sample(rng, batch)
+        a = np.asarray(spec.accept_prob(xs), dtype=float)
+        hits = np.flatnonzero(rng.random(batch) < a)
+        examined += batch
+        take = hits[: n_target - n_kept]
+        kept.extend(xs[take] if isinstance(xs, np.ndarray) else [xs[i] for i in take])
+        n_kept += len(take)
+        if n_kept == n_target:
+            draws_used = examined - batch + int(take[-1]) + 1
+    samples = np.array(kept) if isinstance(xs, np.ndarray) else kept
+    return SampleResult(samples=samples, accepted=n_target, draws_used=draws_used)
+
+
+def _outcome(run):
+    """A run's result, or its BudgetExhaustedError as a comparable tuple."""
+    try:
+        return run()
+    except BudgetExhaustedError as exc:
+        return ("exhausted", str(exc), exc.accepted, exc.draws_used)
+
+
+def _same_result(a, b) -> bool:
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    samples_equal = (
+        a.samples.tobytes() == b.samples.tobytes()
+        if isinstance(a.samples, np.ndarray) else a.samples == b.samples
+    )
+    return samples_equal and (a.accepted, a.draws_used) == (b.accepted, b.draws_used)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(["unit", "clipped", "logistic"]), min_size=1, max_size=4),
+    st.integers(1, 4000),
+    st.one_of(st.none(), st.integers(0, 20000)),
+    st.booleans(),
+)
+def test_shared_stream_equals_separate_runs(seed, kinds, n_target, max_draws, finite):
+    rng = np.random.default_rng(seed)
+    if finite:
+        target, model = random_instance(rng, n_atoms=12)
+    else:
+        target, model = bimodal_target(), single_gaussian(0.0, 1.5)
+    specs = _specs_for(model, target, kinds, rng)
+    state = rng.bit_generator.state
+
+    def separate(sampler, spec):
+        rng.bit_generator.state = state
+        return _outcome(lambda: sampler(model, spec, n_target, rng, max_draws))
+
+    alone = [separate(_reference_sample, spec) for spec in specs]
+    assert _same_result(separate(rejection_sample, specs[0]), alone[0])
+    rng.bit_generator.state = state
+    shared = _outcome(lambda: rejection_sample_shared(model, specs, n_target, rng, max_draws))
+    if isinstance(shared, tuple):
+        # the error is that of the first spec short of its quota
+        first = next(i for i, res in enumerate(alone) if isinstance(res, tuple))
+        assert shared == alone[first]
+    else:
+        assert len(shared) == len(specs)
+        assert all(_same_result(a, b) for a, b in zip(shared, alone))
