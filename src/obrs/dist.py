@@ -25,6 +25,9 @@ import numpy as np
 from .errors import DomainError, SupportMismatchError
 
 _PROB_TOL = 1e-12
+# shifted mixture terms are raised to this before exp: from about -708 down,
+# np.exp leaves its vectorized path for subnormal and underflowing results
+_LOG_FLOOR = -700.0
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +81,15 @@ class FiniteDist:
         return float(self.probs[self.index(x)])
 
     def sample(self, rng: np.random.Generator, n: int) -> list:
-        idx = rng.choice(len(self.atoms), size=n, p=self.probs)
-        return [self.atoms[i] for i in idx]
+        return self._atoms_at(self._draw(rng, n))
+
+    def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n draws as atom indices: the rng stream of ``sample``."""
+        return rng.choice(len(self.atoms), size=n, p=self.probs)
+
+    def _atoms_at(self, index: np.ndarray) -> list:
+        atoms = self.atoms
+        return [atoms[i] for i in index.tolist()]
 
     def same_support(self, other: "FiniteDist") -> bool:
         return self.atoms == other.atoms
@@ -165,12 +175,15 @@ class GaussianMixture:
         return f"GaussianMixture(k={self.n_components}, dim={self.dim})"
 
     def _points(self, x) -> np.ndarray:
+        """x as an (n, dim) array. A 1-d mixture reads a scalar, an (n,) or an
+        (n, 1) array; a 2-d one a single (2,) point or an (n, 2) array. Any
+        other shape raises DomainError."""
         pts = np.asarray(x, dtype=float)
-        if self.dim == 1:
+        if self.dim == 1 and (pts.ndim < 2 or pts.shape[1:] == (1,)):
             return pts.reshape(-1, 1)
-        if pts.ndim == 1:
-            return pts.reshape(1, 2)
-        return pts.reshape(-1, 2)
+        if self.dim == 2 and pts.shape[-1:] == (2,) and pts.ndim <= 2:
+            return pts.reshape(-1, 2)
+        raise DomainError(f"a {self.dim}-d mixture cannot read points of shape {pts.shape}")
 
     def log_density(self, x) -> np.ndarray | float:
         """Log density; exact in log space even deep in the tails."""
@@ -192,6 +205,13 @@ class GaussianMixture:
         else:
             m = np.max(comp, axis=0)
             comp -= m
+            # Each point's largest term is now exactly 0, so its row sum holds
+            # exp(0) = 1. A term below _LOG_FLOOR was under 1e-304 and stays
+            # at most exp(-700) ~ 1e-304 when raised to the floor: it moves
+            # only partial sums far below half an ulp of the one holding the
+            # 1, so the pairwise sum keeps every bit, while exp stays off its
+            # slow subnormal and underflow path. NaN passes through maximum.
+            np.maximum(comp, _LOG_FLOOR, out=comp)
             np.exp(comp, out=comp)
             out = m + np.log(_pairwise_row_sum(comp))
         return _match_shape(out, x, self.dim)
@@ -285,6 +305,9 @@ class RatioFn:
     log_fn: Callable[[Any], np.ndarray | float]
     kind: str = "analytic"
     calls: int = field(default=0, compare=False)  # points evaluated, not batches
+    # finite ratios: the atom list and log r at each of its atoms, in order
+    atoms: list | None = field(default=None, repr=False, compare=False)
+    log_table: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def log(self, x) -> np.ndarray | float:
         if np.isscalar(x) or isinstance(x, tuple):
@@ -292,6 +315,12 @@ class RatioFn:
         else:
             self.calls += len(x)
         return self.log_fn(x)
+
+    def log_at(self, index: np.ndarray) -> np.ndarray:
+        """log r at the atoms ``atoms[index]`` of a finite ratio, counted as
+        ``log`` counts them."""
+        self.calls += len(index)
+        return self.log_table[index]
 
     def __call__(self, x) -> np.ndarray | float:
         lr = self.log(x)
@@ -307,6 +336,7 @@ def ratio_of(target: Distribution, model: Distribution) -> RatioFn:
     if isinstance(target, FiniteDist) and isinstance(model, FiniteDist):
         _, lp, lq, p, _ = pair_view(target, model, "exact")
         log_table = np.where(p > 0, _log_ratio(lp, lq), -np.inf)
+        log_table.flags.writeable = False
         index = model._index
 
         def log_fn(x):
@@ -314,7 +344,7 @@ def ratio_of(target: Distribution, model: Distribution) -> RatioFn:
                 return np.array([log_table[index[a]] for a in x])
             return float(log_table[index[x]])
 
-        return RatioFn(log_fn, kind="finite")
+        return RatioFn(log_fn, kind="finite", atoms=model.atoms, log_table=log_table)
 
     if isinstance(target, GaussianMixture) and isinstance(model, GaussianMixture):
         if target.dim != model.dim:
@@ -398,12 +428,12 @@ def pair_view(
             raise DomainError("sample mode needs an rng")
         n = _count(n_nodes, "calibration draws")
         ratio_of(target, model)  # one family on one atom list or in one dimension
-        x = model.sample(rng, n)
         if isinstance(model, FiniteDist):
-            x = np.array([model._index[a] for a in x])
+            x = model._draw(rng, n)
             _, lp, lq, _, _ = pair_view(target, model, "exact")
             lp, lq = lp[x], lq[x]
         else:
+            x = model.sample(rng, n)
             lp, lq = target.log_density(x), model.log_density(x)
         qw = np.full(n, 1.0 / n)
         with np.errstate(over="ignore"):  # a ratio past float range weighs inf

@@ -41,7 +41,6 @@ import numpy as np
 from .dist import (
     Distribution,
     FiniteDist,
-    GaussianMixture,
     RatioFn,
     _count,
     _log_ratio,
@@ -420,12 +419,32 @@ def rejection_sample_shared(
     n_target = _count(n_target, "samples to keep", 1)
     if max_draws is not None:
         max_draws = _count(max_draws, "proposals to examine", 0)
-    if isinstance(model, FiniteDist):
+    finite = isinstance(model, FiniteDist)
+    # a finite model's proposals stay atom indices: a ratio tabled on the
+    # model's atom list is read by index, and the atoms themselves are built
+    # only for specs that need them (tables, ratios on another atom order)
+    by_index = [
+        finite and spec.ratio is not None and spec.ratio.atoms == model.atoms for spec in specs
+    ]
+    labelled = [finite and spec.kind != "unit" and not b for spec, b in zip(specs, by_index)]
+
+    def accept(i: int, draws, xs, log_r: dict) -> np.ndarray:
+        """Spec i's acceptance at draws (mixture points or atom indices),
+        whose atoms are xs; log_r caches log-ratios by evaluator identity."""
+        spec = specs[i]
+        if spec.ratio is None:
+            return np.asarray(spec.accept_prob(xs if labelled[i] else draws), dtype=float)
+        key = id(spec.ratio)
+        if key not in log_r:
+            log_r[key] = spec.ratio.log_at(draws) if by_index[i] else spec.ratio.log(xs)
+        return spec._of_log_ratio(log_r[key])
+
+    if finite:
         # the exact acceptance rate; at 0 the loop below would never return
-        live = model.probs > 0
-        live_atoms = [x for x, m in zip(model.atoms, live) if m]
-        for spec in specs:
-            if not np.dot(model.probs[live], spec.accept_prob(live_atoms)) > 0:
+        live = np.flatnonzero(model.probs > 0)
+        live_atoms = model._atoms_at(live) if any(labelled) else None
+        for i in range(len(specs)):
+            if not np.dot(model.probs[live], accept(i, live, live_atoms, {})) > 0:
                 raise DomainError("acceptance rate is 0 under the model: no proposal can pass")
     kept: list[list] = [[] for _ in specs]
     n_kept = [0] * len(specs)
@@ -443,35 +462,27 @@ def rejection_sample_shared(
                     accepted=short,
                     draws_used=examined,
                 )
-        xs = model.sample(rng, batch)
+        # draws: mixture points, or a finite model's atom indices
+        draws = model._draw(rng, batch) if finite else model.sample(rng, batch)
         u = rng.random(batch)
         examined += batch
-        log_r: dict[int, np.ndarray] = {}  # per ratio evaluator, by identity
+        xs = model._atoms_at(draws) if any(labelled[i] for i in active) else draws
+        log_r: dict[int, np.ndarray] = {}
         for i in list(active):
-            spec = specs[i]
-            if spec.ratio is None:
-                a = np.asarray(spec.accept_prob(xs), dtype=float)
-            else:
-                key = id(spec.ratio)
-                if key not in log_r:
-                    log_r[key] = spec.ratio.log(xs)
-                a = spec._of_log_ratio(log_r[key])
-            hits = np.flatnonzero(u < a)
+            hits = np.flatnonzero(u < accept(i, draws, xs, log_r))
             if not hits.size:
                 continue
             take = hits[: n_target - n_kept[i]]
-            if isinstance(xs, np.ndarray):
-                kept[i].append(xs[take])
-            else:
-                kept[i].extend(xs[j] for j in take)
+            kept[i].append(draws[take])
             n_kept[i] += len(take)
             if n_kept[i] == n_target:
                 draws_used[i] = examined - batch + int(take[-1]) + 1
                 active.remove(i)
     results = []
     for samples, used in zip(kept, draws_used):
-        if isinstance(model, GaussianMixture):
-            samples = np.concatenate(samples) if len(samples) > 1 else samples[0]
+        samples = np.concatenate(samples) if len(samples) > 1 else samples[0]
+        if finite:
+            samples = model._atoms_at(samples)
         results.append(SampleResult(samples=samples, accepted=n_target, draws_used=used))
     return results
 

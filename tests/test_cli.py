@@ -15,8 +15,10 @@ from obrs import (
     AcceptanceSpec,
     FiniteDist,
     ObrsError,
+    RatioFn,
     bimodal_target,
     gaussian_grid_2d,
+    random_instance,
     ratio_of,
     refine,
     refine_with_drs,
@@ -206,6 +208,43 @@ def test_grid2d_draws_and_evaluates_each_batch_once(tmp_path, monkeypatch, repea
         "--calibration", 2000, "--out", tmp_path / "g",
     ) == 0
     assert calls == {"log_density": 2 + 2 * repeats, "sample": 1 + repeats}
+
+
+def test_grid2d_log_densities_take_no_subnormal_exp():
+    # the shifted mixture terms are floored before exp, so neither density
+    # underflows on the protocol's proposals (about 3 in 4 terms did)
+    cfg = {"seed": 909, "sigma": 0.05, "spacing": 1.0, "surrogate_sigma": 0.1, "jitter": 200.0}
+    target, surrogate = _grid2d_pair(cfg)
+    x = surrogate.sample(np.random.default_rng([909, 1, 0]), 8192)
+    with np.errstate(under="raise"):
+        target.log_density(x)
+        surrogate.log_density(x)
+
+
+def test_finite_sample_keeps_proposals_as_atom_indices(tmp_path, monkeypatch):
+    # no atom list per batch and no per-atom ratio lookup: the sampler draws
+    # indices and reads the ratio's table by index, once per batch and once
+    # for the rate check
+    calls = {"sample": 0, "log": 0, "log_at": 0}
+    for cls, name in ((FiniteDist, "sample"), (RatioFn, "log"), (RatioFn, "log_at")):
+        original = getattr(cls, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    files = []
+    for name, dist in zip(("t.json", "m.json"), random_instance(np.random.default_rng(3), 64)):
+        (tmp_path / name).write_text(json.dumps(dist.to_json()), encoding="utf-8")
+        files.append(tmp_path / name)
+    out = tmp_path / "s"
+    assert run_cli(
+        "sample", "--target", files[0], "--model", files[1], "--budget", 2.5,
+        "--samples", 5000, "--seed", 4, "--out", out,
+    ) == 0
+    draws = json.loads((out / "summary.json").read_text(encoding="utf-8"))["draws_used"]
+    assert calls == {"sample": 0, "log": 0, "log_at": 1 + math.ceil(draws / 8192)}
 
 
 def test_grid2d_rows_match_separate_runs_of_each_method(tmp_path):

@@ -132,13 +132,19 @@ def test_mixture_2d_multi_component_density():
     np.testing.assert_allclose(m.density(pts), manual, rtol=1e-12)
 
 
-def _broadcast_log_density(m, x):
-    """The (n, k, dim) broadcast formula that ``log_density`` must match bit for bit."""
+def _broadcast_terms(m, x):
+    """The (n, k) log terms log w_j + log N_j(x) of the broadcast formula."""
     pts = m._points(x)
     log_w = np.log(m.weights, out=np.full_like(m.weights, -np.inf), where=m.weights > 0)
     log_norm = -np.sum(np.log(m.stds), axis=1) - 0.5 * m.dim * math.log(2 * math.pi)
     z = (pts[:, None, :] - m.means[None, :, :]) / m.stds[None, :, :]
-    comp = log_w + log_norm - 0.5 * np.sum(z * z, axis=2)
+    return log_w + log_norm - 0.5 * np.sum(z * z, axis=2)
+
+
+def _broadcast_log_density(m, x):
+    """The (n, k, dim) broadcast formula that ``log_density`` must match bit
+    for bit: no floor, exp of every shifted term as it is."""
+    comp = _broadcast_terms(m, x)
     if comp.shape[1] == 1:
         return comp[:, 0]
     mx = np.max(comp, axis=1)
@@ -207,6 +213,68 @@ def test_log_density_is_bit_identical_on_the_lattice_and_grid_inputs(case):
         m = _wide_mixture(130)
         x = np.linspace(-20.0, 20.0, 4096)
     assert np.array_equal(m.log_density(x), _broadcast_log_density(m, x))
+
+
+def _banded_mixture_and_points(k, dim, seed):
+    """A k-component mixture whose components lie 680 to 820 log units below
+    each other near their means, with points near every mean: the shifted
+    terms fall in the band where exp is subnormal, [-745.2, -700), and past
+    it, where exp underflows to 0. A third of the components carry no weight.
+    Non-finite and huge coordinates close the batch."""
+    rng = np.random.default_rng(seed)
+    depth = rng.uniform(680.0, 820.0, size=k)
+    direction = rng.normal(size=(k, dim))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    std = 0.5
+    means = std * np.sqrt(2.0 * depth)[:, None] * direction
+    means[0] = 0.0
+    weights = rng.choice([0.0, 1.0, 2.0], size=k)
+    weights[0] = 1.0
+    m = GaussianMixture(weights / weights.sum(), means, std)
+    near = means[rng.integers(k, size=4000)] + rng.normal(scale=0.3, size=(4000, dim))
+    odd = np.full((6, dim), 0.0)
+    odd[:, 0] = [math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300]
+    pts = np.vstack([near, odd])
+    return m, pts[:, 0] if dim == 1 else pts
+
+
+@pytest.mark.parametrize("k", [2, 7, 8, 25, 129, 300])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_log_density_floor_keeps_every_bit_in_the_subnormal_and_underflow_bands(k, dim):
+    m, x = _banded_mixture_and_points(k, dim, seed=k * dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        comp = _broadcast_terms(m, x)
+        shifted = comp - np.max(comp, axis=1, keepdims=True)
+        ref = _broadcast_log_density(m, x)
+        got = m.log_density(x)
+    assert np.any((shifted >= -745.2) & (shifted < -700.0))  # subnormal exp
+    assert np.any((shifted < -745.2) & (shifted > -np.inf))  # exp underflows to 0
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert np.isnan(got[-6:-3]).all()  # NaN and +-inf coordinates give NaN, as before
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([1, 2]), st.lists(st.integers(0, 3), max_size=3))
+def test_log_density_reads_only_shapes_its_dimension_can(dim, shape):
+    # a 1-d mixture reads a scalar, (n,) or (n, 1); a 2-d one (2,) or (n, 2)
+    m = bimodal_target() if dim == 1 else gaussian_grid_2d()
+    x = np.zeros(shape)
+    if dim == 1:
+        n = 1 if not shape else shape[0] if len(shape) == 1 or shape[1:] == [1] else None
+    else:
+        n = 1 if shape == [2] else shape[0] if len(shape) == 2 and shape[1] == 2 else None
+    if n is None:
+        with pytest.raises(DomainError):
+            m.log_density(x)
+    else:
+        assert np.size(m.log_density(x)) == n
+
+
+def test_log_density_rejects_points_of_the_other_dimension():
+    with pytest.raises(DomainError):
+        bimodal_target().log_density(np.zeros((3, 2)))  # was 6 densities
+    with pytest.raises(DomainError):
+        gaussian_grid_2d().log_density(np.zeros(4))  # was a bare ValueError
 
 
 def test_log_density_far_tail_stays_finite():

@@ -1,6 +1,7 @@
 """Acceptance functions, the scale solver, and rejection sampling."""
 
 import contextlib
+import dataclasses
 import math
 import signal
 
@@ -15,6 +16,7 @@ from obrs import (
     DomainError,
     FiniteDist,
     OutOfBallError,
+    RatioFn,
     SampleResult,
     acceptance_from_target,
     bimodal_target,
@@ -517,9 +519,15 @@ def test_drs_gamma_outside_the_reachable_rates_raises():
 # ---------------------------------------------------------------------------
 
 
+def _permuted(dist, order):
+    return FiniteDist([dist.atoms[i] for i in order], dist.probs[order])
+
+
 def _specs_for(model, target, kinds, rng):
     """Acceptances of the given kinds over a pair; ratio-based ones split
-    between two evaluators of the same ratio."""
+    between two evaluators of the same ratio. On a finite pair, ``table`` is
+    an explicit per-atom acceptance and ``permuted`` a clipped one whose
+    ratio was built on the atoms in another order."""
     ratios = [ratio_of(target, model), ratio_of(target, model)]
     mode = "exact" if isinstance(model, FiniteDist) else "quadrature"
     log_sup = refine(target, model, 1.5, mode=mode)[1].log_sup
@@ -530,9 +538,29 @@ def _specs_for(model, target, kinds, rng):
             specs.append(AcceptanceSpec.unit())
         elif kind == "clipped":
             specs.append(AcceptanceSpec.clipped(r, log_sup, float(rng.uniform(-2.0, 0.5))))
-        else:
+        elif kind == "logistic":
             specs.append(AcceptanceSpec.logistic(r, log_sup, float(rng.uniform(-2.0, 3.0))))
+        elif kind == "table":
+            values = rng.uniform(0.05, 1.0, size=len(model))
+            specs.append(AcceptanceSpec.from_table(dict(zip(model.atoms, values.tolist()))))
+        else:
+            order = rng.permutation(len(model))
+            r = ratio_of(_permuted(target, order), _permuted(model, order))
+            specs.append(AcceptanceSpec.clipped(r, log_sup, float(rng.uniform(-2.0, 0.5))))
     return specs
+
+
+def _with_label_lookup(specs):
+    """The specs with each ratio evaluator swapped for a copy that has no
+    per-atom table, one copy per evaluator: it can only look atoms up."""
+    copies = {}
+    out = []
+    for spec in specs:
+        if spec.ratio is not None:
+            r = copies.setdefault(id(spec.ratio), RatioFn(spec.ratio.log_fn, kind=spec.ratio.kind))
+            spec = dataclasses.replace(spec, ratio=r)
+        out.append(spec)
+    return out, copies
 
 
 def _reference_sample(model, spec, n_target, rng, max_draws):
@@ -576,34 +604,66 @@ def _same_result(a, b) -> bool:
     return samples_equal and (a.accepted, a.draws_used) == (b.accepted, b.draws_used)
 
 
+_ATOM_LABELS = {
+    "int": lambda i: i,
+    "tuple": lambda i: (i, -i),
+    "str": lambda i: f"atom,{i}",
+}
+
+
 @given(
     st.integers(0, 2**32 - 1),
-    st.lists(st.sampled_from(["unit", "clipped", "logistic"]), min_size=1, max_size=4),
+    st.sampled_from([None, *_ATOM_LABELS]),  # a finite model's atom labels; None: mixture
+    st.data(),
     st.integers(1, 4000),
     st.one_of(st.none(), st.integers(0, 20000)),
-    st.booleans(),
 )
-def test_shared_stream_equals_separate_runs(seed, kinds, n_target, max_draws, finite):
+def test_shared_stream_equals_separate_runs(seed, labels, data, n_target, max_draws):
     rng = np.random.default_rng(seed)
-    if finite:
-        target, model = random_instance(rng, n_atoms=12)
-    else:
+    kinds = ["unit", "clipped", "logistic"]
+    if labels is None:
         target, model = bimodal_target(), single_gaussian(0.0, 1.5)
+    else:
+        kinds += ["table", "permuted"]
+        label = _ATOM_LABELS[labels]
+        target, model = (
+            FiniteDist([label(a) for a in d.atoms], d.probs)
+            for d in random_instance(rng, n_atoms=12)
+        )
+    kinds = data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4))
     specs = _specs_for(model, target, kinds, rng)
     state = rng.bit_generator.state
 
     def separate(sampler, spec):
         rng.bit_generator.state = state
-        return _outcome(lambda: sampler(model, spec, n_target, rng, max_draws))
+        return _outcome(lambda: sampler(model, spec, n_target, rng, max_draws)), rng.bit_generator.state
 
     alone = [separate(_reference_sample, spec) for spec in specs]
-    assert _same_result(separate(rejection_sample, specs[0]), alone[0])
+    one = separate(rejection_sample, specs[0])
+    assert _same_result(one[0], alone[0][0]) and one[1] == alone[0][1]
+    calls = {id(spec.ratio): spec.ratio.calls for spec in specs if spec.ratio}
     rng.bit_generator.state = state
     shared = _outcome(lambda: rejection_sample_shared(model, specs, n_target, rng, max_draws))
     if isinstance(shared, tuple):
         # the error is that of the first spec short of its quota
-        first = next(i for i, res in enumerate(alone) if isinstance(res, tuple))
-        assert shared == alone[first]
+        first = next(i for i, (res, _) in enumerate(alone) if isinstance(res, tuple))
+        assert shared == alone[first][0]
     else:
         assert len(shared) == len(specs)
-        assert all(_same_result(a, b) for a, b in zip(shared, alone))
+        assert all(_same_result(a, b) for a, b in zip(shared, (res for res, _ in alone)))
+    if labels is not None:
+        # finite proposals stay atom indices; with every ratio looked up by
+        # atom label instead, nothing observable changes, the ratio counts
+        # and the rng's end state included
+        end = rng.bit_generator.state
+        lookup, copies = _with_label_lookup(specs)
+        rng.bit_generator.state = state
+        looked_up = _outcome(lambda: rejection_sample_shared(model, lookup, n_target, rng, max_draws))
+        assert rng.bit_generator.state == end
+        if isinstance(shared, tuple):
+            assert looked_up == shared
+        else:
+            assert all(_same_result(a, b) for a, b in zip(shared, looked_up))
+        for spec in specs:
+            if spec.ratio:
+                assert spec.ratio.calls - calls[id(spec.ratio)] == copies[id(spec.ratio)].calls
