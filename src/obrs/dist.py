@@ -299,15 +299,14 @@ class RatioFn:
 
     ``log`` evaluates log r(x); ``__call__`` exponentiates it. Keeping the
     log form public matters: mixture pairs can have log-ratios of several
-    hundred where exp() would overflow.
+    hundred where exp() would overflow. ``kind`` names the family the ratio
+    reads (``finite`` atoms or ``mixture`` points; ``analytic`` for one
+    built by hand), and ``calls`` counts the points evaluated.
     """
 
     log_fn: Callable[[Any], np.ndarray | float]
     kind: str = "analytic"
     calls: int = field(default=0, compare=False)  # points evaluated, not batches
-    # finite ratios: the atom list and log r at each of its atoms, in order
-    atoms: list | None = field(default=None, repr=False, compare=False)
-    log_table: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def log(self, x) -> np.ndarray | float:
         if np.isscalar(x) or isinstance(x, tuple):
@@ -315,12 +314,6 @@ class RatioFn:
         else:
             self.calls += len(x)
         return self.log_fn(x)
-
-    def log_at(self, index: np.ndarray) -> np.ndarray:
-        """log r at the atoms ``atoms[index]`` of a finite ratio, counted as
-        ``log`` counts them."""
-        self.calls += len(index)
-        return self.log_table[index]
 
     def __call__(self, x) -> np.ndarray | float:
         lr = self.log(x)
@@ -331,20 +324,19 @@ def ratio_of(target: Distribution, model: Distribution) -> RatioFn:
     """Exact likelihood ratio of two distributions of the same family.
 
     Finite/finite pairs must share the atom list; an atom with model mass 0
-    and target mass > 0 is a zero-denominator error.
+    and target mass > 0 is a zero-denominator error. A finite ratio read at
+    a label that is not one of its atoms raises DomainError.
     """
     if isinstance(target, FiniteDist) and isinstance(model, FiniteDist):
         _, lp, lq, p, _ = pair_view(target, model, "exact")
         log_table = np.where(p > 0, _log_ratio(lp, lq), -np.inf)
-        log_table.flags.writeable = False
-        index = model._index
 
         def log_fn(x):
             if isinstance(x, (list, np.ndarray)) and not np.isscalar(x):
-                return np.array([log_table[index[a]] for a in x])
-            return float(log_table[index[x]])
+                return log_table[[model.index(a) for a in x]]
+            return float(log_table[model.index(x)])
 
-        return RatioFn(log_fn, kind="finite", atoms=model.atoms, log_table=log_table)
+        return RatioFn(log_fn, kind="finite")
 
     if isinstance(target, GaussianMixture) and isinstance(model, GaussianMixture):
         if target.dim != model.dim:
@@ -365,9 +357,9 @@ def ratio_of(target: Distribution, model: Distribution) -> RatioFn:
 
 def _count(n, what: str, least: int = 2) -> int:
     """A count of nodes, draws or trials as an int; anything but an integer
-    >= least (a float, NaN, inf or less) raises DomainError."""
+    >= least (a float, NaN, inf, a bool or less) raises DomainError."""
     try:
-        count = operator.index(n)
+        count = least - 1 if isinstance(n, bool) else operator.index(n)
     except TypeError:
         count = least - 1
     if count < least:
@@ -383,8 +375,9 @@ def trapezoid_grid(
     The domain is the union of all component mean ± span·std intervals of
     all the 1-d mixtures given. For smooth, rapidly decaying integrands the
     rule converges superalgebraically, so 4096 nodes are effectively exact.
-    A span that is not a finite positive number, or a node count that is not
-    an integer >= 2, raises DomainError.
+    A span that is not a finite positive number or stretches the domain
+    beyond float range, or a node count that is not an integer >= 2, raises
+    DomainError.
     """
     if not 0 < span < math.inf:  # also rejects NaN
         raise DomainError(f"span must be a finite positive number, got {span!r}")
@@ -397,6 +390,8 @@ def trapezoid_grid(
         los.append(lo[0])
         his.append(hi[0])
     lo, hi = min(los), max(his)
+    if not math.isfinite(float(hi) - float(lo)):
+        raise DomainError(f"span {span!r} puts the grid's ends beyond float range")
     x = np.linspace(lo, hi, n_nodes)
     h = (hi - lo) / (n_nodes - 1)
     w = np.full(n_nodes, h)

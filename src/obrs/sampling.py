@@ -82,7 +82,7 @@ def _drs_logit(rel, log_sup: float):
     F = rel + log_sup - log(1 - exp(rel - eps)) below rel = eps and +inf
     (acceptance 1) from there; r = 0 gives -inf (acceptance 0).
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f = rel + log_sup - np.log(-np.expm1(rel - _DRS_EPS))
     return np.where(rel < _DRS_EPS, f, np.inf)
 
@@ -162,7 +162,8 @@ class AcceptanceSpec(_LogScaled):
         """Acceptance probability at x (vectorized over proposal batches).
 
         Scalars and atom tuples are single proposals; lists and arrays are
-        batches (2-d proposals arrive as (n, 2) arrays).
+        batches (2-d proposals arrive as (n, 2) arrays). An atom that a table
+        or a finite ratio has no entry for raises DomainError.
         """
         scalar = np.isscalar(x) or isinstance(x, tuple)
         if self.kind == "unit":
@@ -170,9 +171,13 @@ class AcceptanceSpec(_LogScaled):
                 return 1.0
             return np.ones(len(x))
         if self.kind == "table":
-            if scalar:
-                return float(self.table[x])
-            return np.array([self.table[a] for a in x], dtype=float)
+            try:
+                if scalar:
+                    return float(self.table[x])
+                return np.array([self.table[a] for a in x], dtype=float)
+            except KeyError as missing:
+                atom = missing.args[0]
+                raise DomainError(f"acceptance table has no entry for atom {atom!r}") from None
         a = self._of_log_ratio(self.ratio.log([x] if scalar else x))
         return float(a[0]) if scalar else a
 
@@ -390,9 +395,11 @@ def rejection_sample(
 
     Deterministic given the rng state. Raises
     BudgetExhaustedError, carrying the partial count, if max_draws proposals
-    are examined before the quota fills, and DomainError, before any draw,
-    if n_target is not an integer >= 1, max_draws not None or an integer
-    >= 0, or a finite model's exact acceptance rate 0.
+    are examined before the quota fills. Before any draw it raises
+    DomainError if n_target is not an integer >= 1, max_draws not None or an
+    integer >= 0, the spec cannot read a live atom of a finite model or its
+    exact rate there is 0, and SupportMismatchError if the spec's table or
+    ratio is of the other family than the model.
     """
     return rejection_sample_shared(model, (spec,), n_target, rng, max_draws)[0]
 
@@ -406,45 +413,37 @@ def rejection_sample_shared(
 ) -> list[SampleResult]:
     """Thin one proposal stream with every spec, each to its own quota.
 
-    Each batch of proposals and of uniforms is drawn once, and its
-    log-ratios are evaluated once per ratio evaluator, only while a spec
-    that uses it still needs samples. Every spec keeps its quota and its
-    draws_used, so result i is bit for bit what ``rejection_sample(model,
-    specs[i], n_target, rng, max_draws)`` returns from the same rng state;
-    the rng ends where the spec that draws longest leaves it. When max_draws
-    run out, the BudgetExhaustedError is that of the first spec still short
-    of its quota. Bad counts and a spec with exact rate 0 under a finite
-    model raise DomainError before any draw.
+    Each batch of proposals and of uniforms is drawn once. On a finite model
+    each spec's acceptance is resolved once per live atom before any draw,
+    with one ``ratio.log`` per ratio evaluator, and a batch of atom indices
+    reads it; on a mixture model a batch's log-ratios are evaluated once per
+    ratio evaluator while a spec that uses it still needs samples. Result i
+    is bit for bit what ``rejection_sample(model, specs[i], n_target, rng,
+    max_draws)`` returns from the same rng state, and the rng ends where the
+    spec that draws longest leaves it. When max_draws run out, the
+    BudgetExhaustedError is that of the first spec still short of its quota.
+    Before any draw, bad counts, an atom a spec cannot read and an exact
+    rate 0 under a finite model raise DomainError; a table, finite or
+    mixture acceptance on a model of the other family raises
+    SupportMismatchError.
     """
     n_target = _count(n_target, "samples to keep", 1)
     if max_draws is not None:
         max_draws = _count(max_draws, "proposals to examine", 0)
     finite = isinstance(model, FiniteDist)
-    # a finite model's proposals stay atom indices: a ratio tabled on the
-    # model's atom list is read by index, and the atoms themselves are built
-    # only for specs that need them (tables, ratios on another atom order)
-    by_index = [
-        finite and spec.ratio is not None and spec.ratio.atoms == model.atoms for spec in specs
-    ]
-    labelled = [finite and spec.kind != "unit" and not b for spec, b in zip(specs, by_index)]
-
-    def accept(i: int, draws, xs, log_r: dict) -> np.ndarray:
-        """Spec i's acceptance at draws (mixture points or atom indices),
-        whose atoms are xs; log_r caches log-ratios by evaluator identity."""
-        spec = specs[i]
-        if spec.ratio is None:
-            return np.asarray(spec.accept_prob(xs if labelled[i] else draws), dtype=float)
-        key = id(spec.ratio)
-        if key not in log_r:
-            log_r[key] = spec.ratio.log_at(draws) if by_index[i] else spec.ratio.log(xs)
-        return spec._of_log_ratio(log_r[key])
-
+    family = "finite" if finite else "mixture"
+    for spec in specs:
+        kind = "finite" if spec.kind == "table" else spec.ratio and spec.ratio.kind
+        if kind in ("finite", "mixture") and kind != family:
+            raise SupportMismatchError(f"a {kind} acceptance cannot thin {model!r}")
     if finite:
-        # the exact acceptance rate; at 0 the loop below would never return
         live = np.flatnonzero(model.probs > 0)
-        live_atoms = model._atoms_at(live) if any(labelled) else None
-        for i in range(len(specs)):
-            if not np.dot(model.probs[live], accept(i, live, live_atoms, {})) > 0:
+        atoms, log_r = model._atoms_at(live), {}
+        per_atom = [np.zeros(len(model)) for _ in specs]  # 0 at zero-mass atoms
+        for a, spec in zip(per_atom, specs):
+            a[live] = _accept_at(spec, atoms, log_r)
+            # the exact acceptance rate; at 0 the loop below would never return
+            if not np.dot(model.probs[live], a[live]) > 0:
                 raise DomainError("acceptance rate is 0 under the model: no proposal can pass")
     kept: list[list] = [[] for _ in specs]
     n_kept = [0] * len(specs)
@@ -466,10 +465,10 @@ def rejection_sample_shared(
         draws = model._draw(rng, batch) if finite else model.sample(rng, batch)
         u = rng.random(batch)
         examined += batch
-        xs = model._atoms_at(draws) if any(labelled[i] for i in active) else draws
-        log_r: dict[int, np.ndarray] = {}
+        log_r = {}
         for i in list(active):
-            hits = np.flatnonzero(u < accept(i, draws, xs, log_r))
+            a = per_atom[i][draws] if finite else _accept_at(specs[i], draws, log_r)
+            hits = np.flatnonzero(u < a)
             if not hits.size:
                 continue
             take = hits[: n_target - n_kept[i]]
@@ -485,6 +484,17 @@ def rejection_sample_shared(
             samples = model._atoms_at(samples)
         results.append(SampleResult(samples=samples, accepted=n_target, draws_used=used))
     return results
+
+
+def _accept_at(spec: AcceptanceSpec, xs, log_r: dict) -> np.ndarray:
+    """spec's acceptance at the proposals xs; log_r caches their log-ratios
+    by evaluator identity, so specs that share an evaluator share one call."""
+    if spec.ratio is None:
+        return np.asarray(spec.accept_prob(xs), dtype=float)
+    key = id(spec.ratio)
+    if key not in log_r:
+        log_r[key] = spec.ratio.log(xs)
+    return spec._of_log_ratio(log_r[key])
 
 
 @dataclass(frozen=True)

@@ -222,20 +222,20 @@ def test_grid2d_log_densities_take_no_subnormal_exp():
 
 
 def test_finite_sample_keeps_proposals_as_atom_indices(tmp_path, monkeypatch):
-    # no atom list per batch and no per-atom ratio lookup: the sampler draws
-    # indices and reads the ratio's table by index, once per batch and once
-    # for the rate check
-    calls = {"sample": 0, "log": 0, "log_at": 0}
-    for cls, name in ((FiniteDist, "sample"), (RatioFn, "log"), (RatioFn, "log_at")):
+    # no atom list per batch and no per-draw ratio lookup: the sampler reads
+    # the ratio once, at the live atoms, and draws atom indices
+    calls = {"sample": [], "log": []}
+    for cls, name in ((FiniteDist, "sample"), (RatioFn, "log")):
         original = getattr(cls, name)
 
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+        def counted(self, x, *args, _name=name, _original=original):
+            calls[_name].append(x)
+            return _original(self, x, *args)
 
         monkeypatch.setattr(cls, name, counted)
     files = []
-    for name, dist in zip(("t.json", "m.json"), random_instance(np.random.default_rng(3), 64)):
+    target, model = random_instance(np.random.default_rng(3), 64)
+    for name, dist in zip(("t.json", "m.json"), (target, model)):
         (tmp_path / name).write_text(json.dumps(dist.to_json()), encoding="utf-8")
         files.append(tmp_path / name)
     out = tmp_path / "s"
@@ -243,8 +243,10 @@ def test_finite_sample_keeps_proposals_as_atom_indices(tmp_path, monkeypatch):
         "sample", "--target", files[0], "--model", files[1], "--budget", 2.5,
         "--samples", 5000, "--seed", 4, "--out", out,
     ) == 0
-    draws = json.loads((out / "summary.json").read_text(encoding="utf-8"))["draws_used"]
-    assert calls == {"sample": 0, "log": 0, "log_at": 1 + math.ceil(draws / 8192)}
+    assert json.loads((out / "summary.json").read_text(encoding="utf-8"))["draws_used"] > 8192
+    live = [a for a, p in zip(model.atoms, model.probs) if p > 0]
+    assert len(live) == 64
+    assert calls == {"sample": [], "log": [live]}
 
 
 def test_grid2d_rows_match_separate_runs_of_each_method(tmp_path):

@@ -12,7 +12,9 @@ from scipy.special import logsumexp
 from obrs import (
     DomainError,
     FiniteDist,
+    ObrsError,
     UnsupportedGeneratorError,
+    bimodal_target,
     divergence_finite,
     divergence_mc,
     divergence_quadrature,
@@ -282,6 +284,21 @@ def test_quadrature_handles_heavy_tails():
     # rkl(p||q) = E_q[log(q/p)] is finite even though kl(p||q) explodes
     got = float(divergence_quadrature(Generator.reverse_kl(), p, q))
     assert math.isfinite(got) and got > 0
+
+
+@given(
+    st.one_of(st.integers(-3, 5000), st.floats(), st.booleans()),
+    st.floats(),
+)
+@example(4096, 1e308)  # returned nan: the grid's width overflows
+def test_quadrature_grid_inputs_raise_typed_errors_or_give_a_number(n_nodes, span):
+    target, model = bimodal_target(), single_gaussian(0.0, 1.5)
+    try:
+        with np.errstate(all="ignore"):
+            got = divergence_quadrature(Generator.gan(), target, model, n_nodes, span).value
+    except ObrsError:
+        return
+    assert not math.isnan(got)
 
 
 def test_mc_estimate_tracks_exact(mixture_pair, rng):

@@ -15,9 +15,11 @@ from obrs import (
     BudgetExhaustedError,
     DomainError,
     FiniteDist,
+    ObrsError,
     OutOfBallError,
     RatioFn,
     SampleResult,
+    SupportMismatchError,
     acceptance_from_target,
     bimodal_target,
     budgeted_loss,
@@ -378,11 +380,12 @@ def test_rejection_sample_positive_rate_table_on_zero_mass_atom():
 
 
 @given(
-    st.one_of(st.floats(), st.integers(max_value=0)),
-    st.one_of(st.floats(), st.integers(max_value=-1)),
+    st.one_of(st.floats(), st.integers(max_value=0), st.booleans()),
+    st.one_of(st.floats(), st.integers(max_value=-1), st.booleans()),
 )
 def test_rejection_sample_rejects_a_bad_count_before_drawing(n_target, max_draws):
-    # floats, NaN and inf raised TypeError or, after drawing, IndexError
+    # floats, NaN and inf raised TypeError or, after drawing, IndexError;
+    # True kept one sample and capped the draws at one
     model, spec = single_gaussian(0.0, 1.0), AcceptanceSpec.unit()
     rng = np.random.default_rng(15)
     state = rng.bit_generator.state
@@ -391,6 +394,102 @@ def test_rejection_sample_rejects_a_bad_count_before_drawing(n_target, max_draws
     with pytest.raises(DomainError):
         rejection_sample(model, spec, 10, rng, max_draws=max_draws)
     assert rng.bit_generator.state == state
+
+
+def _unreadable_atom_calls():
+    """Calls whose spec cannot read a live atom of the model; each raised a
+    bare KeyError."""
+    model = FiniteDist([0, 1, 2], [0.5, 0.25, 0.25])
+    table = AcceptanceSpec.from_table({0: 0.5, 1: 1.0})
+    other = ratio_of(*(FiniteDist([5, 6, 7], d.probs) for d in (model, model)))
+    foreign = AcceptanceSpec.clipped(other, 0.0)
+    return {
+        "table": lambda rng: rejection_sample(model, table, 10, rng),
+        "ratio on other atoms": lambda rng: rejection_sample(model, foreign, 10, rng),
+        "refined table": lambda rng: refined_finite(model, table),
+        "accept_prob": lambda rng: AcceptanceSpec.from_table({0: 0.5}).accept_prob(3),
+    }
+
+
+@pytest.mark.parametrize("case", list(_unreadable_atom_calls()))
+def test_atom_a_spec_cannot_read_raises_domain_error(case):
+    rng = np.random.default_rng(16)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="is not an atom|has no entry for atom"):
+        _unreadable_atom_calls()[case](rng)
+    assert rng.bit_generator.state == state
+
+
+def test_finite_specs_on_one_evaluator_read_it_once_at_the_live_atoms():
+    # several batches, two specs, one evaluation at the two live atoms
+    target = FiniteDist(["a", "b", "c"], [0.25, 0.75, 0.0])
+    model = FiniteDist(["a", "b", "c"], [0.5, 0.5, 0.0])
+    ratio = ratio_of(target, model)
+    log_sup = math.log(1.5)
+    specs = [AcceptanceSpec.clipped(ratio, log_sup), AcceptanceSpec.logistic(ratio, log_sup, 0.0)]
+    rejection_sample_shared(model, specs, 20000, np.random.default_rng(19))
+    assert ratio.calls == 2
+
+
+def _mixture_spec():
+    return refine(bimodal_target(), single_gaussian(0.0, 1.5), 2.0, mode="quadrature")[0]
+
+
+def _finite_spec():
+    target, model = random_instance(np.random.default_rng(17), n_atoms=3)
+    return AcceptanceSpec.clipped(ratio_of(target, model), 0.0)
+
+
+@pytest.mark.parametrize(
+    "model, spec",
+    [
+        # sampled at rate 0.77 from mixture densities at the atom labels
+        (FiniteDist([0, 1, 2], [0.25, 0.5, 0.25]), _mixture_spec()),
+        # the next two raised a bare KeyError at the first batch
+        (single_gaussian(0.0, 1.5), _finite_spec()),
+        (single_gaussian(0.0, 1.5), AcceptanceSpec.from_table({0: 0.5, 1: 1.0})),
+    ],
+    ids=["mixture ratio on finite model", "finite ratio on mixture", "table on mixture"],
+)
+def test_spec_of_the_other_family_raises_before_drawing(model, spec):
+    rng = np.random.default_rng(18)
+    state = rng.bit_generator.state
+    with pytest.raises(SupportMismatchError):
+        rejection_sample_shared(model, [AcceptanceSpec.unit(), spec], 10, rng)
+    assert rng.bit_generator.state == state
+
+
+@given(
+    st.sampled_from(["clipped", "logistic"]),
+    st.floats(),
+    st.floats(),
+    st.one_of(st.integers(-3, 50), st.floats(), st.booleans()),
+    st.one_of(st.integers(-3, 3 * 8192), st.floats(), st.booleans()),
+    st.integers(0, 2**32 - 1),
+)
+def test_mixture_sampler_raises_typed_errors_or_returns(
+    kind, log_sup, shape, n_target, max_draws, seed
+):
+    # shape is log_scale for clipped and gamma for logistic. max_draws=None
+    # would draw until the quota fills, however small the rate, so every run
+    # here is bounded; a count or parameter error comes before any draw
+    model = single_gaussian(0.0, 1.5)
+    ratio = ratio_of(bimodal_target(), model)
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    try:
+        make = AcceptanceSpec.clipped if kind == "clipped" else AcceptanceSpec.logistic
+        spec = make(ratio, log_sup, shape)
+        with _time_limit(20.0):
+            res = rejection_sample(model, spec, n_target, rng, max_draws)
+    except BudgetExhaustedError as exc:
+        assert exc.draws_used == max_draws and exc.accepted < n_target
+        return
+    except ObrsError:
+        assert rng.bit_generator.state == state
+        return
+    assert res.accepted == n_target == len(res.samples)
+    assert res.draws_used <= max_draws and np.all(np.isfinite(res.samples))
 
 
 @pytest.mark.parametrize("value", [math.nan, -0.25, 1.5])
@@ -551,8 +650,8 @@ def _specs_for(model, target, kinds, rng):
 
 
 def _with_label_lookup(specs):
-    """The specs with each ratio evaluator swapped for a copy that has no
-    per-atom table, one copy per evaluator: it can only look atoms up."""
+    """The specs with each ratio evaluator swapped for a fresh evaluator of
+    the same log_fn, one copy per evaluator, which looks atoms up by label."""
     copies = {}
     out = []
     for spec in specs:
