@@ -14,7 +14,6 @@ deep tails (log-ratios of several hundred) never overflow prematurely.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -39,17 +38,31 @@ class FiniteDist:
     """A distribution on an explicit finite set of atoms.
 
     Atoms may be any hashable labels (ints, strings, coordinate tuples);
-    probabilities must be nonnegative and sum to 1 within 1e-12. ``probs``
-    is a read-only copy of the vector given, so the distribution cannot
-    change after it was validated.
+    probabilities must be a flat vector of real numbers (ints or floats;
+    not bools, strings or nested lists), nonnegative and summing to 1
+    within 1e-12. Anything else raises DomainError. ``probs`` is a
+    read-only float copy of the vector given, so the distribution cannot
+    change after it was validated. The log masses (-inf at zero mass) and
+    the atom indices that exact pair views read are taken once, here.
     """
 
     def __init__(self, atoms: Sequence[Any], probs: Sequence[float]):
         atoms = list(atoms)
-        probs = np.array(probs, dtype=float)
+        try:
+            index = {a: i for i, a in enumerate(atoms)}
+        except TypeError:
+            raise DomainError("atoms must be hashable") from None
+        # an ndarray is checked in O(1), from its shape and dtype
+        try:
+            given = probs if isinstance(probs, np.ndarray) else np.asarray(probs)
+        except (TypeError, ValueError):  # a ragged nesting, say
+            given = None
+        if given is None or given.ndim != 1 or given.dtype.kind not in "fiu":
+            raise DomainError("probabilities must be a flat vector of ints or floats")
+        probs = given.astype(float)
         if len(atoms) != len(probs):
             raise DomainError("atoms and probs must have equal length")
-        if len(atoms) != len(set(atoms)):
+        if len(index) != len(atoms):
             raise DomainError("atoms must be distinct")
         # both checks are written to fail on NaN, which min propagates
         least = probs.min(initial=math.inf)
@@ -58,11 +71,19 @@ class FiniteDist:
         total = math.fsum(probs.tolist())
         if not abs(total - 1.0) <= _PROB_TOL:
             raise DomainError(f"probabilities sum to {total!r}, not 1")
-        probs.flags.writeable = False
+        zero_mass = bool(least == 0)  # some atom carries no mass
+        if zero_mass:
+            log_probs = np.log(probs, out=np.full(len(probs), -np.inf), where=probs > 0)
+        else:
+            log_probs = np.log(probs)
+        positions = np.arange(len(probs))
+        for view in (probs, log_probs, positions):
+            view.setflags(write=False)
         self.atoms = atoms
         self.probs = probs
-        self._zero_mass = bool(least == 0)  # some atom carries no mass
-        self._index = {a: i for i, a in enumerate(atoms)}
+        self._zero_mass = zero_mass
+        self._index = index
+        self._log_view = positions, log_probs  # read by exact pair views
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -93,18 +114,6 @@ class FiniteDist:
 
     def same_support(self, other: "FiniteDist") -> bool:
         return self.atoms == other.atoms
-
-    @functools.cached_property
-    def _log_view(self) -> tuple[np.ndarray, np.ndarray]:
-        """(atom indices, log masses with -inf at zero mass), read-only.
-
-        Computed on first use: exact pair views reuse them on every call.
-        """
-        with np.errstate(divide="ignore"):
-            log_probs = np.log(self.probs)
-        index = np.arange(len(self.probs))
-        log_probs.flags.writeable = index.flags.writeable = False
-        return index, log_probs
 
     def to_json(self) -> dict:
         return {"type": "finite", "atoms": _jsonable(self.atoms), "probs": self.probs.tolist()}

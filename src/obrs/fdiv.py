@@ -260,6 +260,9 @@ def divergence_finite(gen: Generator, target: FiniteDist, model: FiniteDist) -> 
     by their u -> inf limits, every other generator raises.
     """
     _, lp, lq, p, q = pair_view(target, model, "exact")
+    if not (target._zero_mass or model._zero_mass):
+        # full support: every log ratio is finite and no limit applies
+        return DivergenceEstimate(value=_fsum(_fdiv_terms(gen, p, q, lp - lq, zeros=False)))
     if model._zero_mass and gen.kind not in ("tv", "pr"):
         heavy = np.flatnonzero((q == 0) & (p > 0))
         if heavy.size:
@@ -296,7 +299,9 @@ def _fsum_rows(values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.fsum, values.tolist()), float, len(values))[:, None]
 
 
-def _fdiv_terms(gen: Generator, pw: np.ndarray, qw: np.ndarray, log_u: np.ndarray) -> np.ndarray:
+def _fdiv_terms(
+    gen: Generator, pw: np.ndarray, qw: np.ndarray, log_u: np.ndarray, zeros: bool = True
+) -> np.ndarray:
     """Stable per-point contributions qw * f(exp(log_u)) with pw = qw * u.
 
     The one f-divergence kernel: every exact and quadrature divergence and
@@ -304,13 +309,22 @@ def _fdiv_terms(gen: Generator, pw: np.ndarray, qw: np.ndarray, log_u: np.ndarra
     model weight, and the log ratio, so log-ratios of hundreds never
     round-trip through exp(). qw may be an acceptance-reweighted model
     weight. Where qw = 0 under target mass, tv and pr take their u -> inf
-    limits; where both weights vanish every term is 0. The arrays broadcast,
-    and callers run it under ``np.errstate(all="ignore")``.
+    limits; where both weights vanish every term is 0. The arrays broadcast.
+
+    zeros says some weight may be zero (or log_u may not be finite). Only
+    then are those limits masked in, and the caller runs the kernel under
+    ``np.errstate(all="ignore")``. With zeros false every weight is positive
+    and every log_u finite, where each mask would pick the plain formula:
+    it is taken directly, with the same bits, in the caller's error state.
+    Only underflow can occur there, at subnormal weights, and numpy ignores
+    it by default.
     """
     if gen.kind == "kl":
         # qw * u log u = pw * log u
-        return np.where(pw > 0, pw * log_u, 0.0)
+        return np.where(pw > 0, pw * log_u, 0.0) if zeros else pw * log_u
     if gen.kind == "reverse_kl":
+        if not zeros:
+            return -qw * log_u
         terms = np.where(qw > 0, -qw * log_u, 0.0)
         if np.any((qw > 0) & (pw == 0)):
             terms = np.where((qw > 0) & (pw == 0), np.inf, terms)
@@ -320,6 +334,8 @@ def _fdiv_terms(gen: Generator, pw: np.ndarray, qw: np.ndarray, log_u: np.ndarra
     if gen.kind == "gan":
         # qw [u log u - (u+1) log(u+1)] = pw log u - (pw + qw) log(u+1)
         log1pu = np.logaddexp(log_u, 0.0)
+        if not zeros:
+            return pw * log_u - (pw + qw) * log1pu
         terms = np.where(pw > 0, pw * log_u, 0.0) - (pw + qw) * log1pu
         # the one formula that gives 0 * nan where both weights vanish, or
         # where a vanished model weight under target mass has limit 0

@@ -74,9 +74,10 @@ def random_feasible_acceptance(
     if tau < _ACCEPT_FLOOR:
         raise DomainError("budget too large for the acceptance floor")
     a = rng.uniform(_ACCEPT_FLOOR, 1.0, len(q))
-    for _ in range(3):
-        s = float(np.dot(q, a))
-        a = np.minimum(np.maximum(a * (tau / s), _ACCEPT_FLOOR), 1.0)  # np.clip, minus its overhead
+    for _ in range(3):  # in place; np.clip, minus its overhead
+        a *= tau / float(np.dot(q, a))
+        np.maximum(a, _ACCEPT_FLOOR, out=a)
+        np.minimum(a, 1.0, out=a)
     for _ in range(4):
         s = math.fsum((q * a).tolist())
         delta = tau - s
@@ -84,12 +85,12 @@ def random_feasible_acceptance(
             return a
         if delta > 0:
             head = 1.0 - a
-            room = float(np.dot(q, head))
-            a = a + head * (delta / room)
+            head *= delta / float(np.dot(q, head))
+            a += head
         else:
             head = a - _ACCEPT_FLOOR
-            room = float(np.dot(q, head))
-            a = a - head * (-delta / room)
+            head *= -delta / float(np.dot(q, head))
+            a -= head
     s = math.fsum((q * a).tolist())
     if abs(s - tau) > _RATE_TOL:
         raise DomainError(f"could not hit rate {tau} (got {s})")

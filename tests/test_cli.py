@@ -487,6 +487,19 @@ def test_infinite_budget_exits_one(tmp_path, capsys, command):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("probs", [[[0.5], [0.5]], ["0.5", "0.5"], [True, False], None])
+def test_sample_on_malformed_finite_probs_exits_one(tmp_path, capsys, probs):
+    # nested probs died with a TypeError traceback; strings and bools were read as numbers
+    flags = _finite_pair_files(tmp_path)
+    bad = {"type": "finite", "atoms": [0, 1], "probs": probs}
+    flags[1].write_text(json.dumps(bad), encoding="utf-8")
+    out = tmp_path / "o"
+    assert run_cli("sample", *flags, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "prob" in err
+    assert not out.exists() or list(out.glob("*")) == []
+
+
 def test_grid2d_single_repeat_writes_standard_json(tmp_path):
     out = tmp_path / "g1"
     with warnings.catch_warnings():

@@ -64,6 +64,38 @@ def test_finite_dist_rejects_non_finite_probs(probs):
         FiniteDist([0, 1], probs)
 
 
+@pytest.mark.parametrize(
+    "atoms, probs",
+    [
+        ([[0], [1]], [0.5, 0.5]),  # unhashable atoms: a bare TypeError
+        ([0, 1], None),  # no vector: len() of unsized object
+        ([0], 1.0),
+        ([0], np.float64(1.0)),
+        ([0, 1], [[0.5], [0.5]]),  # nested: a TypeError from fsum
+        ([0, 1], np.array([[0.5], [0.5]])),
+        ([0, 1], [[0.5], 0.5]),  # ragged
+        ([0, 1], ["0.5", "0.5"]),  # strings that numpy would parse
+        ([0, 1], np.array(["0.5", "0.5"])),
+        ([0, 1], [True, False]),  # bools read as 1 and 0
+        ([0, 1], np.array([True, False])),
+        ([0, 1], [0.5, None]),
+        ([0, 1], [0.5 + 0j, 0.5]),
+    ],
+)
+def test_finite_dist_rejects_malformed_input_with_a_typed_error(atoms, probs):
+    with pytest.raises(DomainError):
+        FiniteDist(atoms, probs)
+
+
+@pytest.mark.parametrize(
+    "probs", [[1, 0], (0.25, 0.75), np.array([1, 0], dtype=np.int32), np.array([0.5, 0.5], np.float32)]
+)
+def test_finite_dist_takes_integer_and_float_vectors(probs):
+    d = FiniteDist(["a", "b"], probs)
+    assert d.probs.dtype == np.float64
+    assert d.probs.tolist() == np.asarray(probs, dtype=float).tolist()
+
+
 def test_finite_dist_lookup(two_point):
     target, _ = two_point
     assert target.density(0) == 0.5
@@ -471,6 +503,27 @@ def test_pair_view_exact_reuses_read_only_log_masses(two_point):
     for a, b in zip(first, again):
         assert a is b
         assert not a.flags.writeable
+
+
+def _mass_lists(n):
+    masses = st.lists(st.one_of(st.just(0), st.integers(1, 1000)), min_size=n, max_size=n)
+    return st.tuples(*[masses.filter(lambda c: sum(c) > 0)] * 2)
+
+
+@settings(max_examples=100)
+@given(counts=st.integers(1, 32).flatmap(_mass_lists))
+def test_pair_view_exact_log_masses_are_taken_once(counts):
+    # read-only log masses, -inf exactly at zero mass, the same arrays on every call
+    atoms = list(range(len(counts[0])))
+    dists = [FiniteDist(atoms, np.asarray(c, dtype=float) / sum(c)) for c in counts]
+    first = pair_view(*dists, "exact")
+    for log_mass, d in zip(first[1:3], dists):
+        assert not log_mass.flags.writeable
+        with np.errstate(divide="ignore"):
+            assert log_mass.tolist() == np.log(d.probs).tolist()
+        assert np.array_equal(log_mass == -np.inf, d.probs == 0)
+    for a, b in zip(first, pair_view(*dists, "exact")):
+        assert a is b
 
 
 def test_finite_dist_keeps_a_read_only_copy():

@@ -20,6 +20,7 @@ from obrs import (
     divergence_quadrature,
     dual_value,
     max_divergence,
+    random_instance,
     ratio_of,
     renyi_divergence,
     single_gaussian,
@@ -251,6 +252,85 @@ def test_kernel_divergence_matches_u_form_reference(gen, pair):
     got = divergence_finite(gen, target, model).value
     ref = _u_form_reference(gen, p, q)
     assert got == ref or abs(got - ref) <= 1e-14, (got, ref)
+
+
+def _masked_reference(gen, p, q):
+    """D_f(p || q) with every zero-weight limit masked in at every atom, as
+    the kernel computed each exact divergence before it took the plain
+    formula on full-support pairs; the AbsoluteContinuityError class where
+    the divergence raises."""
+    if gen.kind not in ("tv", "pr") and np.any((q == 0) & (p > 0)):
+        return AbsoluteContinuityError
+    with np.errstate(all="ignore"):
+        log_u = np.log(p) - np.log(q)
+        if gen.kind == "kl":
+            terms = np.where(p > 0, p * log_u, 0.0)
+        elif gen.kind == "reverse_kl":
+            terms = np.where(q > 0, -q * log_u, 0.0)
+            terms = np.where((q > 0) & (p == 0), np.inf, terms)
+        elif gen.kind == "tv":
+            terms = 0.5 * np.abs(p - q)
+        elif gen.kind == "gan":
+            terms = np.where(p > 0, p * log_u, 0.0) - (p + q) * np.logaddexp(log_u, 0.0)
+            terms = np.where((q == 0) & ((p == 0) | ~np.isfinite(log_u)), 0.0, terms)
+        else:
+            terms = np.maximum(gen.lam * p, q) - max(gen.lam, 1.0) * q
+    return math.fsum(terms.tolist())
+
+
+# per atom: which side carries mass, and whether a live mass is ordinary or subnormal
+_ATOM = st.tuples(
+    st.sampled_from(["both", "target", "model", "neither"]),
+    st.tuples(st.booleans(), st.booleans()),
+)
+
+
+@st.composite
+def _zero_and_subnormal_pairs(draw):
+    kinds = draw(st.lists(_ATOM, min_size=1, max_size=32))
+    sides = []
+    for side, live_on in enumerate((("both", "target"), ("both", "model"))):
+        masses = np.zeros(len(kinds))
+        for i, (where, subnormal) in enumerate(kinds):
+            if where in live_on:
+                masses[i] = (draw(st.floats(5e-324, 2e-308)) if subnormal[side]
+                             else draw(st.integers(1, 1000)))
+        ordinary = masses >= 1.0
+        if not np.any(ordinary):
+            masses[draw(st.integers(0, len(kinds) - 1))] = 1.0
+            ordinary = masses >= 1.0
+        # ordinary masses are normalized; subnormal ones move the sum by < 1e-300
+        masses[ordinary] /= math.fsum(masses[ordinary].tolist())
+        sides.append(masses)
+    atoms = list(range(len(kinds)))
+    return FiniteDist(atoms, sides[0]), FiniteDist(atoms, sides[1])
+
+
+@settings(max_examples=300)
+@given(pair=_zero_and_subnormal_pairs())
+@example(pair=_HEAVY)
+@example(pair=(FiniteDist([0, 1], [5e-324, 1.0]), FiniteDist([0, 1], [1.0, 5e-324])))
+@example(pair=(FiniteDist([0], [1.0]), FiniteDist([0], [1.0])))
+def test_exact_divergence_keeps_the_masked_kernel_bits(pair):
+    target, model = pair
+    for gen in GENERATOR_PANEL:
+        ref = _masked_reference(gen, target.probs, model.probs)
+        if ref is AbsoluteContinuityError:
+            with pytest.raises(AbsoluteContinuityError):
+                divergence_finite(gen, target, model)
+        else:
+            assert divergence_finite(gen, target, model).value == ref, gen.label
+
+
+def test_full_support_pairs_score_without_floating_point_events():
+    # a full-support pair takes the plain formula with numpy's error state
+    # untouched: nothing overflows, underflows or divides by zero there
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        target, model = random_instance(rng)
+        with np.errstate(all="raise"):
+            for gen in GENERATOR_PANEL:
+                assert math.isfinite(divergence_finite(gen, target, model).value)
 
 
 # ---------------------------------------------------------------------------

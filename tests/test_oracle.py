@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obrs import (
@@ -54,6 +54,52 @@ def test_random_feasible_acceptance_hits_rate(rng):
         assert np.all(a <= 1.0 + 1e-15)
         rate = float(np.dot(model.probs, a))
         assert abs(rate - 1.0 / budget) <= 1e-9
+
+
+def _out_of_place_feasible_acceptance(model, budget, rng):
+    """random_feasible_acceptance as it was written before it worked in
+    place: every pass builds a new array."""
+    q = model.probs
+    tau = 1.0 / budget
+    a = rng.uniform(1e-6, 1.0, len(q))
+    for _ in range(3):
+        s = float(np.dot(q, a))
+        a = np.minimum(np.maximum(a * (tau / s), 1e-6), 1.0)
+    for _ in range(4):
+        s = math.fsum((q * a).tolist())
+        delta = tau - s
+        if abs(delta) <= 1e-9:
+            return a
+        if delta > 0:
+            head = 1.0 - a
+            room = float(np.dot(q, head))
+            a = a + head * (delta / room)
+        else:
+            head = a - 1e-6
+            room = float(np.dot(q, head))
+            a = a - head * (-delta / room)
+    s = math.fsum((q * a).tolist())
+    if abs(s - tau) > 1e-9:
+        raise DomainError(f"could not hit rate {tau} (got {s})")
+    return a
+
+
+@settings(max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_atoms=st.integers(1, 40),
+    budget=st.one_of(st.floats(1.0, 4.0), st.floats(1.0, 1e6)),
+)
+def test_random_feasible_acceptance_keeps_its_bits(seed, n_atoms, budget):
+    # criterion 2's sweeps read these draws: working in place changed no bit
+    _, model = random_instance(np.random.default_rng(seed), n_atoms)
+    outcomes = []
+    for draw in (random_feasible_acceptance, _out_of_place_feasible_acceptance):
+        try:
+            outcomes.append(draw(model, budget, np.random.default_rng(seed)).tobytes())
+        except DomainError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 # ---------------------------------------------------------------------------
