@@ -35,6 +35,7 @@ from .dist import (
     bimodal_target,
     dist_from_json,
     gaussian_grid_2d,
+    pair_view,
     single_gaussian,
 )
 from .errors import DomainError, ObrsError
@@ -58,7 +59,7 @@ from .oracle import _improvement_bounds, _kl_renyi_bound, _solved, random_instan
 from .prcurve import _knee_grid, _pr_scan, predict_refined_curve
 from .sampling import (
     AcceptanceSpec,
-    _calibrated_view,
+    calibrate,
     refine,
     refine_with_drs,
     rejection_sample,
@@ -227,26 +228,26 @@ def run_refine(cfg: dict, out: Path) -> list[str]:
     budget = cfg["budget"]
     target = bimodal_target(cfg["target_mu"], cfg["target_sigma"])
     model = single_gaussian(cfg["model_mu"], cfg["model_sigma"])
-    (x, lp, lq, pw, qw), [(sol, log_a)] = _calibrated_view(
-        target, model, (budget,), "quadrature", cfg["nodes"], cfg["span"]
-    )
+    view = pair_view(target, model, "quadrature", cfg["nodes"], cfg["span"])
+    log_r = view.checked_log_r()
+    sol = calibrate(log_r, view.qw, budget)
     # c = 1: min(r / M, 1)
-    a_unbudgeted = np.exp(np.fmin(lp - lq - sol.log_sup, 0.0))
-    a_budgeted = np.exp(log_a)
+    a_unbudgeted = np.exp(np.fmin(log_r - sol.log_sup, 0.0))
+    a_budgeted = np.exp(sol.log_accept(log_r))
     k_eff = 1.0 / sol.rate
-    q = np.exp(lq)
+    q = np.exp(view.lq)
     refined = q * a_budgeted * k_eff
     _write_csv(
         out / "densities.csv",
         ["x", "target", "model", "refined"],
-        np.column_stack([x, np.exp(lp), q, refined]),
+        np.column_stack([view.points, np.exp(view.lp), q, refined]),
     )
     _write_csv(
         out / "acceptance.csv",
         ["x", "accept_unbudgeted", "accept_budgeted"],
-        np.column_stack([x, a_unbudgeted, a_budgeted]),
+        np.column_stack([view.points, a_unbudgeted, a_budgeted]),
     )
-    base = _pr_scan(pw, qw, _knee_grid(sol, cfg["lambda_steps"]))
+    base = _pr_scan(view.pw, view.qw, _knee_grid(sol, cfg["lambda_steps"]))
     pred = predict_refined_curve(base, k_eff, sol.scale, sol.sup_ratio)
     _write_csv(
         out / "prcurve.csv",

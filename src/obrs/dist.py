@@ -17,16 +17,18 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, SupportMismatchError
+from .errors import DomainError, EstimationError, SupportMismatchError
 
 _PROB_TOL = 1e-12
 # shifted mixture terms are raised to this before exp: from about -708 down,
 # np.exp leaves its vectorized path for subnormal and underflowing results
 _LOG_FLOOR = -700.0
+# how far a quadrature view's target or model mass may miss 1
+_MASS_TOL = 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +215,9 @@ class GaussianMixture:
             out = comp[0]
         else:
             m = np.max(comp, axis=0)
+            # a row of -inf terms has density 0; its max shift is -inf - -inf
+            dead = np.flatnonzero(m == -np.inf)
+            m[dead] = 0.0
             comp -= m
             # Each point's largest term is now exactly 0, so its row sum holds
             # exp(0) = 1. A term below _LOG_FLOOR was under 1e-304 and stays
@@ -223,6 +228,7 @@ class GaussianMixture:
             np.maximum(comp, _LOG_FLOOR, out=comp)
             np.exp(comp, out=comp)
             out = m + np.log(_pairwise_row_sum(comp))
+            out[dead] = -np.inf
         return _match_shape(out, x, self.dim)
 
     def density(self, x) -> np.ndarray | float:
@@ -337,8 +343,8 @@ def ratio_of(target: Distribution, model: Distribution) -> RatioFn:
     a label that is not one of its atoms raises DomainError.
     """
     if isinstance(target, FiniteDist) and isinstance(model, FiniteDist):
-        _, lp, lq, p, _ = pair_view(target, model, "exact")
-        log_table = np.where(p > 0, _log_ratio(lp, lq), -np.inf)
+        view = pair_view(target, model, "exact")
+        log_table = np.where(view.pw > 0, view.checked_log_r(), -np.inf)
 
         def log_fn(x):
             if isinstance(x, (list, np.ndarray)) and not np.isscalar(x):
@@ -408,70 +414,95 @@ def trapezoid_grid(
     return x, w
 
 
+class PairView(NamedTuple):
+    """The weighted view of a (target, model) pair that ``pair_view`` builds:
+    the log-densities lp, lq at the points, the log-ratio log_r = lp - lq
+    (NaN where both masses vanish, +inf where only the model's does), and
+    the target and model weights pw, qw whose sums are the expectations."""
+
+    mode: str
+    points: np.ndarray
+    lp: np.ndarray
+    lq: np.ndarray
+    log_r: np.ndarray
+    pw: np.ndarray
+    qw: np.ndarray
+
+    def checked_log_r(self) -> np.ndarray:
+        """log_r for a calibration: target mass where the model has none is a
+        zero-denominator DomainError."""
+        bad = np.flatnonzero(self.log_r == np.inf)
+        if bad.size:
+            raise DomainError(f"zero-denominator: model mass is 0 at atom index {bad[0]} "
+                              "where target mass is positive")
+        return self.log_r
+
+
 def pair_view(
     target: Distribution, model: Distribution, mode: str, n_nodes: int = 4096, span: float = 8.0,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The weighted view of a (target, model) pair: (points, lp, lq, pw, qw).
+) -> PairView:
+    """The ``PairView`` of a (target, model) pair in one of three modes.
 
-    lp and lq are the log-densities at the points, pw and qw the target and
-    model weights whose sums are the expectations every caller takes.
     ``exact`` takes two finite distributions on one atom list: the points
     are the atom indices, lp and lq the log masses (-inf at zero mass) and
     pw, qw the masses, all read-only arrays the distributions keep.
     ``quadrature`` takes two 1-d mixtures: the points are the
     ``trapezoid_grid`` nodes and, with w their weights, pw = w * exp(lp)
-    and qw = w * exp(lq). ``sample`` takes any pair ``ratio_of`` takes and
-    n_nodes model draws with rng (atom indices on a finite pair): qw = 1/n_nodes
-    and pw = qw * exp(lp - lq), the importance weights. A missing rng or a
-    count that is not an integer >= 2 raises DomainError, as do other
-    families in the other modes; different atom lists raise SupportMismatchError.
+    and qw = w * exp(lq); either sum more than 1e-2 from 1 raises
+    EstimationError. ``sample`` takes n_nodes model draws with rng from a
+    finite pair (as atom indices, refused like a calibration where the
+    model misses target mass) or a mixture pair: qw = 1/n_nodes and
+    pw = qw * exp(log_r), the importance weights. A missing rng or a count
+    that is not an integer >= 2 raises DomainError, as do other families in
+    the other modes; different atom lists, families or dimensions raise
+    SupportMismatchError.
     """
     if mode == "sample":
         if rng is None:
             raise DomainError("sample mode needs an rng")
         n = _count(n_nodes, "calibration draws")
-        ratio_of(target, model)  # one family on one atom list or in one dimension
-        if isinstance(model, FiniteDist):
+        if isinstance(target, FiniteDist) and isinstance(model, FiniteDist):
+            full = pair_view(target, model, "exact")
+            full.checked_log_r()
             x = model._draw(rng, n)
-            _, lp, lq, _, _ = pair_view(target, model, "exact")
-            lp, lq = lp[x], lq[x]
-        else:
+            lp, lq = full.lp[x], full.lq[x]
+        elif isinstance(target, GaussianMixture) and isinstance(model, GaussianMixture):
+            if target.dim != model.dim:
+                raise SupportMismatchError("mixture dimensions differ")
             x = model.sample(rng, n)
             lp, lq = target.log_density(x), model.log_density(x)
+        else:
+            raise SupportMismatchError("sample mode needs two finite or two mixture distributions")
         qw = np.full(n, 1.0 / n)
-        with np.errstate(over="ignore"):  # a ratio past float range weighs inf
-            return x, lp, lq, qw * np.exp(lp - lq), qw
+        with np.errstate(invalid="ignore", over="ignore"):  # a ratio past float range weighs inf
+            log_r = lp - lq
+            return PairView(mode, x, lp, lq, log_r, qw * np.exp(log_r), qw)
     if mode == "exact":
         if not (isinstance(target, FiniteDist) and isinstance(model, FiniteDist)):
             raise DomainError("exact mode needs two finite distributions")
         if not target.same_support(model):
             raise SupportMismatchError("the two distributions must share one atom list")
         index, lp = target._log_view
-        return index, lp, model._log_view[1], target.probs, model.probs
+        lq = model._log_view[1]
+        if not (target._zero_mass and model._zero_mass):
+            return PairView(mode, index, lp, lq, lp - lq, target.probs, model.probs)
+        with np.errstate(invalid="ignore"):  # -inf - -inf where both masses vanish
+            return PairView(mode, index, lp, lq, lp - lq, target.probs, model.probs)
     if mode == "quadrature":
         if not (isinstance(target, GaussianMixture) and isinstance(model, GaussianMixture)):
             raise DomainError("quadrature mode needs two mixtures")
         x, w = trapezoid_grid([target, model], n_nodes=n_nodes, span=span)
         lp = np.asarray(target.log_density(x), dtype=float)
         lq = np.asarray(model.log_density(x), dtype=float)
-        return x, lp, lq, w * np.exp(lp), w * np.exp(lq)
+        pw, qw = w * np.exp(lp), w * np.exp(lq)
+        mass = np.array([np.sum(pw), np.sum(qw)])
+        if not np.max(np.abs(mass - 1.0)) <= _MASS_TOL:  # also fails on NaN
+            raise EstimationError(f"a {len(x)}-node grid at span {span!r} holds target and model "
+                                  f"masses {mass.tolist()}, not 1: it cannot resolve the pair")
+        with np.errstate(invalid="ignore"):
+            return PairView(mode, x, lp, lq, lp - lq, pw, qw)
     raise DomainError(f"unknown mode {mode!r}")
-
-
-def _log_ratio(lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
-    """log r = lp - lq on a pair view; NaN where both masses vanish.
-
-    Target mass where the model has none is a zero-denominator DomainError.
-    """
-    with np.errstate(invalid="ignore"):
-        lr = lp - lq
-    bad = np.flatnonzero(lr == np.inf)
-    if bad.size:
-        raise DomainError(
-            f"zero-denominator: model mass is 0 at atom index {bad[0]} where target mass is positive"
-        )
-    return lr
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ Fenchel-Young identity f(u) + f*(f'(u)) = u f'(u) holds exactly.
 
 Every exact and quadrature divergence starts from ``dist.pair_view``, the
 weighted (target, model) view, and sums the terms of one kernel,
-``_fdiv_terms``, which works from the two weights and the log ratio.
+``_fdiv_terms``, which works from the two weights and the view's log-ratio.
 ``f_value`` is the pointwise map, kept for Monte Carlo estimates and the
 generator table.
 """
@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dist import Distribution, FiniteDist, GaussianMixture, RatioFn, _count, pair_view
+from .dist import Distribution, FiniteDist, GaussianMixture, PairView, RatioFn, _count, pair_view
 from .errors import (
     AbsoluteContinuityError,
     DomainError,
@@ -259,10 +259,11 @@ def divergence_finite(gen: Generator, target: FiniteDist, model: FiniteDist) -> 
     carrying target mass breaks absolute continuity: tv and pr remain finite
     by their u -> inf limits, every other generator raises.
     """
-    _, lp, lq, p, q = pair_view(target, model, "exact")
+    view = pair_view(target, model, "exact")
+    p, q = view.pw, view.qw
     if not (target._zero_mass or model._zero_mass):
         # full support: every log ratio is finite and no limit applies
-        return DivergenceEstimate(value=_fsum(_fdiv_terms(gen, p, q, lp - lq, zeros=False)))
+        return DivergenceEstimate(value=_fsum(_fdiv_terms(gen, p, q, view.log_r, zeros=False)))
     if model._zero_mass and gen.kind not in ("tv", "pr"):
         heavy = np.flatnonzero((q == 0) & (p > 0))
         if heavy.size:
@@ -272,7 +273,7 @@ def divergence_finite(gen: Generator, target: FiniteDist, model: FiniteDist) -> 
                 "where target mass is positive"
             )
     with np.errstate(all="ignore"):
-        terms = _fdiv_terms(gen, p, q, lp - lq)
+        terms = _fdiv_terms(gen, p, q, view.log_r)
     return DivergenceEstimate(value=_fsum(terms))
 
 
@@ -284,9 +285,9 @@ def divergence_quadrature(
     span: float = 8.0,
 ) -> DivergenceEstimate:
     """Trapezoid-rule D_f(target || model) for 1-d mixture pairs."""
-    _, lp, lq, pw, qw = pair_view(target, model, "quadrature", n_nodes, span)
+    view = pair_view(target, model, "quadrature", n_nodes, span)
     with np.errstate(all="ignore"):
-        terms = _fdiv_terms(gen, pw, qw, lp - lq)
+        terms = _fdiv_terms(gen, view.pw, view.qw, view.log_r)
     return DivergenceEstimate(value=_fsum(terms))
 
 
@@ -344,27 +345,20 @@ def _fdiv_terms(
     return np.maximum(gen.lam * pw, qw) - max(gen.lam, 1.0) * qw
 
 
-def _acceptance_loss(
-    gen: Generator,
-    lp: np.ndarray,
-    lq: np.ndarray,
-    pw: np.ndarray,
-    qw: np.ndarray,
-    log_a: np.ndarray,
-    total: Callable[[np.ndarray], float | np.ndarray],
-) -> float | np.ndarray:
+def _acceptance_loss(gen: Generator, view: PairView, log_a: np.ndarray) -> float | np.ndarray:
     """D_f(target || q a / Z) on a pair view, from log a at each point.
 
-    Z = total(q a) is the measured rate; total is ``_fsum`` on finite views
-    and ``np.sum`` on quadrature grids. log u = log(p / refined) is taken in
-    log space, so it stays finite where the refined mass underflows.
+    Z = total(q a) is the measured rate and total sums the terms too: it is
+    ``_fsum`` on exact views and ``np.sum`` on grids and samples. log u =
+    log(p / refined) stays finite where the refined mass underflows.
 
     log_a may also be a (trials, points) matrix, one acceptance per row,
-    with total ``_fsum_rows``: the losses then come back as a column, each
-    row's bits those of its own call.
+    summed by ``_fsum_rows``: the losses then come back as a column, each
+    row's bits those of its own call on an exact view.
     """
     batch = log_a.ndim == 2
-    qa = qw * np.exp(log_a)
+    total = _fsum_rows if batch else _fsum if view.mode == "exact" else np.sum
+    qa = view.qw * np.exp(log_a)
     z = total(qa)
     rates = z.ravel().tolist() if batch else [float(z)]
     if min(rates) <= 0:
@@ -374,8 +368,8 @@ def _acceptance_loss(
     else:
         log_z = math.log(rates[0])
     with np.errstate(all="ignore"):
-        log_u = lp - (lq + log_a - log_z)
-        terms = _fdiv_terms(gen, pw, qa / z, log_u)
+        log_u = view.lp - (view.lq + log_a - log_z)
+        terms = _fdiv_terms(gen, view.pw, qa / z, log_u)
     return total(terms) if batch else float(total(terms))
 
 
@@ -426,10 +420,10 @@ def dual_value(
         mode = "quadrature"
     else:
         raise SupportMismatchError("dual_value needs two finite or two mixture distributions")
-    x, _, _, pw, qw = pair_view(target, model, mode, n_nodes, span)
-    live = (pw > 0) | (qw > 0)
-    pw, qw = pw[live], qw[live]
-    t = np.broadcast_to(np.asarray(t_fn(x), dtype=float), live.shape)[live]
+    view = pair_view(target, model, mode, n_nodes, span)
+    live = (view.pw > 0) | (view.qw > 0)
+    pw, qw = view.pw[live], view.qw[live]
+    t = np.broadcast_to(np.asarray(t_fn(view.points), dtype=float), live.shape)[live]
     if not np.all(np.isfinite(t)):
         raise DomainError("the dual function must be finite wherever either distribution has mass")
     return _fsum(pw * t) - _fsum(qw * fstar_value(gen, t))
@@ -454,18 +448,18 @@ def renyi_divergence(order: float, target: FiniteDist, model: FiniteDist) -> flo
         raise DomainError("order 1 is the KL limit; use divergence_finite with kl")
     if order == math.inf:
         return max_divergence(target, model)
-    _, lp, lq, p, q = pair_view(target, model, "exact")
+    view = pair_view(target, model, "exact")
     if order > 1:
-        bad = np.flatnonzero((q == 0) & (p > 0))
+        bad = np.flatnonzero(view.log_r == np.inf)
         if bad.size:
             raise AbsoluteContinuityError(
                 f"order {order} needs model support to cover the target "
                 f"(fails at atom index {int(bad[0])})"
             )
-    live = (p > 0) & (q > 0)
+    live = (view.pw > 0) & (view.qw > 0)
     if not np.any(live):
         raise DomainError("distributions share no support")
-    return _logsumexp(order * lp[live] + (1.0 - order) * lq[live]) / (order - 1.0)
+    return _logsumexp(order * view.lp[live] + (1.0 - order) * view.lq[live]) / (order - 1.0)
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -493,19 +487,18 @@ def max_divergence(target: Distribution, model: Distribution) -> float:
     """log sup_x target(x)/model(x): exact on finite supports, the sup over
     the default ``pair_view`` grid for 1-d mixtures (2-d ones raise DomainError)."""
     if isinstance(target, FiniteDist) and isinstance(model, FiniteDist):
-        _, lp, lq, p, q = pair_view(target, model, "exact")
-        bad = np.flatnonzero((q == 0) & (p > 0))
+        view = pair_view(target, model, "exact")
+        bad = np.flatnonzero(view.log_r == np.inf)
         if bad.size:
             raise AbsoluteContinuityError(
                 f"model mass vanishes at atom index {int(bad[0])} under target mass"
             )
-        live = p > 0
+        live = view.pw > 0
         if not np.any(live):
             raise DomainError("target has no mass")
-        return float(np.max(lp[live] - lq[live]))
+        return float(np.max(view.log_r[live]))
     if isinstance(target, GaussianMixture) and isinstance(model, GaussianMixture):
-        _, lp, lq, _, _ = pair_view(target, model, "quadrature")
-        return float(np.max(lp - lq))
+        return float(np.max(pair_view(target, model, "quadrature").log_r))
     raise SupportMismatchError("max_divergence needs two finite or two mixture distributions")
 
 

@@ -17,13 +17,13 @@ the nodes move with the model. Within one loss evaluation the same grid
 feeds the slack solver and the divergence, and a given pair gets the same
 grid at every budget, so comparisons across budgets are internally
 consistent. Exact and quadrature losses share one path:
-``sampling._calibrated_view`` gives the weighted view of the pair and the
-calibrated acceptance on it at every budget, and the single f-divergence
-kernel ``fdiv._fdiv_terms`` the integrand, evaluated from log-densities,
-which keeps lattice corners with log-ratios of several hundred finite. A
-landscape or fit lattice builds one view per cell, with its two
-log-densities, and calibrates it once per budget; ``budgeted_loss`` and
-``fit_grid`` are the one-budget case.
+``dist.pair_view`` gives the weighted view of the pair with its log-ratio,
+``sampling.calibrate`` the acceptance on it at every budget, and the single
+f-divergence kernel ``fdiv._fdiv_terms`` the integrand, evaluated from
+log-densities, which keeps lattice corners with log-ratios of several
+hundred finite. A landscape or fit lattice builds one view per cell, with
+its two log-densities, and calibrates it once per budget; ``budgeted_loss``
+and ``fit_grid`` are the one-budget case.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import FiniteDist, bimodal_target, single_gaussian, spacing_mismatch_pair
+from .dist import FiniteDist, bimodal_target, pair_view, single_gaussian, spacing_mismatch_pair
 from .errors import DomainError
-from .fdiv import Generator, _acceptance_loss, _fsum, divergence_finite
-from .sampling import _calibrated_view, refine, refined_finite
+from .fdiv import Generator, _acceptance_loss, divergence_finite
+from .sampling import calibrate, refine, refined_finite
 
 THETA_GRID_DEFAULT = np.linspace(0.1, 2.5, 241)
 FIT_MU_GRID_DEFAULT = np.linspace(-3.0, 3.0, 121)
@@ -83,9 +83,10 @@ def _budgeted_losses(
     The log-densities computed once feed every calibration and integrand:
     this body runs tens of thousands of times across a fit lattice.
     """
-    (_, lp, lq, pw, qw), calibrated = _calibrated_view(target, model, budgets, mode, n_nodes, span)
-    total = _fsum if mode == "exact" else np.sum
-    return [_acceptance_loss(gen, lp, lq, pw, qw, log_a, total) for _, log_a in calibrated]
+    view = pair_view(target, model, mode, n_nodes, span)
+    log_r = view.checked_log_r()
+    sols = [calibrate(log_r, view.qw, budget) for budget in budgets]
+    return [_acceptance_loss(gen, view, sol.log_accept(log_r)) for sol in sols]
 
 
 def primal_identity_check(

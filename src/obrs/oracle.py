@@ -21,7 +21,6 @@ from .fdiv import (
     GENERATOR_PANEL,
     Generator,
     _acceptance_loss,
-    _fsum_rows,
     _logsumexp,
     divergence_finite,
     renyi_divergence,
@@ -146,12 +145,12 @@ def check_optimality(
         raise DomainError("check_optimality needs an rng")
     trials = _count(trials, "trials", 1)
     _, ref = _solved(target, model, budget)
-    _, lp, lq, pw, qw = pair_view(target, model, "exact")
+    view = pair_view(target, model, "exact")
     log_a = np.log([random_feasible_acceptance(model, budget, rng) for _ in range(trials)])
     per_gen = {}
     for g in GENERATOR_PANEL:
         refined_loss = divergence_finite(g, target, ref.dist).value
-        losses = _acceptance_loss(g, lp, lq, pw, qw, log_a, _fsum_rows).ravel()
+        losses = _acceptance_loss(g, view, log_a).ravel()
         best = min(math.inf, *losses.tolist())
         per_gen[g.label] = GenOptimality(
             gen_label=g.label,
@@ -353,11 +352,10 @@ def check_ball_membership(candidate: FiniteDist, model: FiniteDist, budget: floa
         spec, witness = acceptance_from_target(candidate, model, budget), None
     except OutOfBallError as exc:
         spec, witness = None, exc.atom_index
-    _, lc, lq, c, _ = pair_view(candidate, model, "exact")
-    live = c > 0
+    view = pair_view(candidate, model, "exact")
     return BallReport(
         member=spec is not None,
-        max_log_ratio=float(np.max(lc[live] - lq[live])),  # inf at an orphan atom
+        max_log_ratio=float(np.max(view.log_r[view.pw > 0])),  # inf at an orphan atom
         log_budget=math.log(budget),
         witness_atom=witness,
         acceptance=spec,

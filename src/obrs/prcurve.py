@@ -23,7 +23,7 @@ import numpy as np
 
 from .dist import Distribution, _count, pair_view, ratio_of
 from .errors import DomainError
-from .sampling import ScaleSolution, _calibrated_view
+from .sampling import ScaleSolution, calibrate
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,8 @@ def pr_point(
     an integer >= 2, else DomainError)."""
     lam = float(_thresholds(lam))
     if mode in ("exact", "quadrature"):
-        _, _, _, pw, qw = pair_view(target, model, mode, n_nodes, span)
-        return PRPoint(lam, *_pr_arrays(pw, qw, lam))
+        view = pair_view(target, model, mode, n_nodes, span)
+        return PRPoint(lam, *_pr_arrays(view.pw, view.qw, lam))
     if mode == "mc":
         if rng is None:
             raise DomainError("mc mode needs an rng")
@@ -167,8 +167,8 @@ def pr_curve(
     number of atoms or quadrature nodes; lam = 0 and lam = inf are exact.
     NaN or negative thresholds raise ``DomainError``.
     """
-    _, _, _, pw, qw = pair_view(target, model, mode, n_nodes, span)
-    return _pr_scan(pw, qw, lams)
+    view = pair_view(target, model, mode, n_nodes, span)
+    return _pr_scan(view.pw, view.qw, lams)
 
 
 def default_lambda_grid(center: float, n: int = 201, decades: float = 3.0) -> np.ndarray:
@@ -254,16 +254,16 @@ def check_refined_prediction(
     pairs both run on the same quadrature grid. The default thresholds are
     41 around the clipping knee c/M.
     """
-    (_, _, _, pw, qw), [(sol, log_a)] = _calibrated_view(
-        target, model, (budget,), mode, n_nodes, span
-    )
-    a = np.exp(log_a)
-    z = math.fsum((qw * a).tolist())
+    view = pair_view(target, model, mode, n_nodes, span)
+    log_r = view.checked_log_r()
+    sol = calibrate(log_r, view.qw, budget)
+    a = np.exp(sol.log_accept(log_r))
+    z = math.fsum((view.qw * a).tolist())
     if z <= 0:
         raise DomainError("acceptance function kills all model mass")
     k_eff = 1.0 / z
-    base = _pr_scan(pw, qw, _knee_grid(sol, 41) if lams is None else lams)
-    direct = _pr_scan(pw, qw * a * k_eff, base.lams * k_eff)
+    base = _pr_scan(view.pw, view.qw, _knee_grid(sol, 41) if lams is None else lams)
+    direct = _pr_scan(view.pw, view.qw * a * k_eff, base.lams * k_eff)
     pred = predict_refined_curve(base, k_eff, sol.scale, sol.sup_ratio)
     identity = np.abs(direct.alphas - direct.lams * direct.betas)
     return RefinedPredictionReport(

@@ -43,7 +43,6 @@ from .dist import (
     FiniteDist,
     RatioFn,
     _count,
-    _log_ratio,
     pair_view,
     ratio_of,
 )
@@ -93,7 +92,11 @@ def _log_sigmoid(x):
 
 
 class _LogScaled:
-    """The slack c and envelope M from log_scale and log_sup; inf past float range."""
+    """The slack c and envelope M (inf past float range) and the clipped acceptance they make."""
+
+    def log_accept(self, log_r):
+        """log a = min(log c + log r - log M, 0) at log-ratios log_r."""
+        return _log_accept(log_r - self.log_sup, self.log_scale)
 
     @property
     def scale(self) -> float:
@@ -183,10 +186,10 @@ class AcceptanceSpec(_LogScaled):
 
     def _of_log_ratio(self, lr) -> np.ndarray:
         """A ratio-based acceptance from log-ratios already evaluated."""
-        rel = np.atleast_1d(np.asarray(lr, dtype=float)) - self.log_sup
+        lr = np.atleast_1d(np.asarray(lr, dtype=float))
         if self.kind == "clipped":
-            return np.exp(_log_accept(rel, self.log_scale))
-        return np.exp(_log_sigmoid(_drs_logit(rel, self.log_sup) + self.log_scale))
+            return np.exp(self.log_accept(lr))
+        return np.exp(_log_sigmoid(_drs_logit(lr - self.log_sup, self.log_sup) + self.log_scale))
 
 
 # ---------------------------------------------------------------------------
@@ -336,34 +339,6 @@ def _match_gamma(
             f"DRS rate {rate!r} misses {target_rate!r} by more than {_GAMMA_TOL:g}"
         )
     return gamma, rate
-
-
-def _calibrated_view(
-    target: Distribution,
-    model: Distribution,
-    budgets: Sequence[float],
-    mode: str,
-    n_nodes: int = 4096,
-    span: float = 8.0,
-    rng: np.random.Generator | None = None,
-) -> tuple[tuple, list[tuple[ScaleSolution, np.ndarray]]]:
-    """The budgeted acceptance on a pair view at each budget: (view, [(sol, log_a)]).
-
-    view is ``pair_view(target, model, mode, n_nodes, span, rng)``: atoms,
-    quadrature nodes or a model sample. For each budget in turn sol is its
-    ``calibrate`` solution on the model weights and log_a the log acceptance
-    min(log c + log r - log M, 0) at each point. The view and its log-ratios
-    are computed once for all budgets. Every refined quantity, in every
-    mode, starts from this one chain, and it is ``calibrate``'s one caller.
-    """
-    view = pair_view(target, model, mode, n_nodes, span, rng)
-    _, lp, lq, _, qw = view
-    lr = _log_ratio(lp, lq)
-    calibrated = []
-    for budget in budgets:
-        sol = calibrate(lr, qw, budget)
-        calibrated.append((sol, _log_accept(lr - sol.log_sup, sol.log_scale)))
-    return view, calibrated
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +531,8 @@ def acceptance_from_target(
 def _refined(target, model, budget, mode, eps, n, rng) -> tuple:
     """(ratio, view, sol, spec): ``refine`` with the view it calibrated on."""
     ratio = ratio_of(target, model)
-    view, [(sol, _)] = _calibrated_view(target, model, (budget,), mode, n, rng=rng)
+    view = pair_view(target, model, mode, n, rng=rng)
+    sol = calibrate(view.checked_log_r(), view.qw, budget)
     if sol.status == "unit":
         return ratio, view, sol, AcceptanceSpec.unit()
     if sol.status == "budgeted" and not abs(sol.rate - 1.0 / budget) <= eps:
@@ -577,12 +553,12 @@ def refine(
 ) -> tuple[AcceptanceSpec, ScaleSolution]:
     """One-call pipeline: ratio, model view, ``calibrate``, acceptance spec.
 
-    The envelope and the slack share one ``_calibrated_view`` of the model:
-    its atoms in exact mode, an n-node trapezoid grid of a 1-d mixture pair
-    in quadrature mode, or one calibration sample of n >= 2 model draws with
-    rng in sample mode (a single draw is its own envelope), so a seeded run
-    is fully reproducible. A budgeted rate more than eps from 1/budget
-    raises ConvergenceError.
+    The envelope and the slack are calibrated on one ``pair_view`` of the
+    model: its atoms in exact mode, an n-node trapezoid grid of a 1-d
+    mixture pair in quadrature mode, or one calibration sample of n >= 2
+    model draws with rng in sample mode (a single draw is its own
+    envelope), so a seeded run is fully reproducible. A budgeted rate more
+    than eps from 1/budget raises ConvergenceError.
     """
     _, _, sol, spec = _refined(target, model, budget, mode, eps, n, rng)
     return spec, sol
@@ -604,11 +580,9 @@ def refine_with_drs(
     to 1/budget at the same 1e-12, so the call has one tolerance. At status
     ``unit`` both accept everything.
     """
-    ratio, (_, lp, lq, _, qw), sol, spec = _refined(
-        target, model, budget, mode, _GAMMA_TOL, n, rng
-    )
+    ratio, view, sol, spec = _refined(target, model, budget, mode, _GAMMA_TOL, n, rng)
     if sol.status == "unit":
         return spec, spec, sol
-    logit = _drs_logit(_log_ratio(lp, lq) - sol.log_sup, sol.log_sup)
-    gamma, _ = _match_gamma(logit, qw, sol.rate)
+    logit = _drs_logit(view.log_r - sol.log_sup, sol.log_sup)
+    gamma, _ = _match_gamma(logit, view.qw, sol.rate)
     return spec, AcceptanceSpec.logistic(ratio, sol.log_sup, gamma), sol

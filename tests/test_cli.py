@@ -173,10 +173,11 @@ def test_grid2d_rate_below_one_over_m_runs_the_unbudgeted_sampler(tmp_path):
     cfg = read_manifest(tmp_path / "rate-0.05")["config"]
     target, surrogate = _grid2d_pair(cfg)
     cal_rng = np.random.default_rng([cfg["seed"], 0xCA])
-    x, lp, lq, _, qw = pair_view(target, surrogate, "sample", cfg["calibration"], rng=cal_rng)
-    log_sup = float(np.max(lp - lq))
+    view = pair_view(target, surrogate, "sample", cfg["calibration"], rng=cal_rng)
+    log_sup = float(np.max(view.lp - view.lq))
     drs = AcceptanceSpec.logistic(ratio_of(target, surrogate), log_sup, summary["gamma"])
-    assert abs(float(np.dot(qw, drs.accept_prob(x))) - summary["calibration_rate"]) <= 1e-12
+    rate = float(np.dot(view.qw, drs.accept_prob(view.points)))
+    assert abs(rate - summary["calibration_rate"]) <= 1e-12
     assert summary["scale"] == 1.0
     assert summary["calibration_rate"] == pytest.approx(1 / summary["sup_ratio"], rel=0.2)
     for row in rows:

@@ -175,12 +175,15 @@ def _broadcast_terms(m, x):
 
 def _broadcast_log_density(m, x):
     """The (n, k, dim) broadcast formula that ``log_density`` must match bit
-    for bit: no floor, exp of every shifted term as it is."""
+    for bit: no floor, exp of every shifted term as it is, and -inf on a row
+    whose every term is -inf."""
     comp = _broadcast_terms(m, x)
     if comp.shape[1] == 1:
         return comp[:, 0]
     mx = np.max(comp, axis=1)
-    return mx + np.log(np.sum(np.exp(comp - mx[:, None]), axis=1))
+    with np.errstate(invalid="ignore"):
+        out = mx + np.log(np.sum(np.exp(comp - mx[:, None]), axis=1))
+    return np.where(mx == -np.inf, -np.inf, out)
 
 
 @st.composite
@@ -282,7 +285,23 @@ def test_log_density_floor_keeps_every_bit_in_the_subnormal_and_underflow_bands(
     assert np.any((shifted >= -745.2) & (shifted < -700.0))  # subnormal exp
     assert np.any((shifted < -745.2) & (shifted > -np.inf))  # exp underflows to 0
     assert np.array_equal(got, ref, equal_nan=True)
-    assert np.isnan(got[-6:-3]).all()  # NaN and +-inf coordinates give NaN, as before
+    assert np.isnan(got[-6])  # a NaN coordinate gives NaN
+    assert np.all(got[-5:-1] == -np.inf)  # +-inf and +-1e300 have density 0
+
+
+def test_log_density_is_minus_inf_where_every_term_is():
+    # every shifted term was -inf at these points, and -inf - -inf gave NaN
+    target = bimodal_target()
+    with np.errstate(over="ignore", invalid="raise"):  # 1e300 squared overflows
+        got = target.log_density([1e300, 1e10, math.inf, -math.inf, math.nan, 0.0])
+    assert got[0] == got[2] == got[3] == -math.inf
+    assert got[1] == pytest.approx(-2e20, rel=1e-9)
+    assert math.isnan(got[4]) and math.isfinite(got[5])
+    with np.errstate(all="raise"):
+        assert target.log_density(math.inf) == -math.inf
+        np.testing.assert_array_equal(target.log_density([math.inf, -math.inf]), -math.inf)
+        grid = gaussian_grid_2d().log_density(np.array([[math.inf, 0.0], [0.0, -math.inf]]))
+        np.testing.assert_array_equal(grid, -math.inf)
 
 
 @settings(max_examples=200)
@@ -483,24 +502,29 @@ def test_pair_view_quadrature_is_the_inline_formula(pair, n_nodes, span):
     lp = target.log_density(x)
     lq = model.log_density(x)
     view = pair_view(target, model, "quadrature", n_nodes, span)
-    for got, want in zip(view, (x, lp, lq, w * np.exp(lp), w * np.exp(lq))):
+    assert view.mode == "quadrature"
+    fields = (view.points, view.lp, view.lq, view.log_r, view.pw, view.qw)
+    for got, want in zip(fields, (x, lp, lq, lp - lq, w * np.exp(lp), w * np.exp(lq))):
         np.testing.assert_array_equal(got, want)
 
 
 def test_pair_view_exact_is_log_masses():
     target = FiniteDist(["a", "b", "c"], [0.5, 0.5, 0.0])
     model = FiniteDist(["a", "b", "c"], [0.25, 0.0, 0.75])
-    x, lp, lq, pw, qw = pair_view(target, model, "exact")
-    np.testing.assert_array_equal(x, [0, 1, 2])
-    np.testing.assert_array_equal(lp, [math.log(0.5), math.log(0.5), -math.inf])
-    np.testing.assert_array_equal(lq, [math.log(0.25), -math.inf, math.log(0.75)])
-    assert pw is target.probs and qw is model.probs
+    view = pair_view(target, model, "exact")
+    assert view.mode == "exact"
+    np.testing.assert_array_equal(view.points, [0, 1, 2])
+    np.testing.assert_array_equal(view.lp, [math.log(0.5), math.log(0.5), -math.inf])
+    np.testing.assert_array_equal(view.lq, [math.log(0.25), -math.inf, math.log(0.75)])
+    np.testing.assert_array_equal(view.log_r, [math.log(2.0), math.inf, -math.inf])
+    assert view.pw is target.probs and view.qw is model.probs
 
 
 def test_pair_view_exact_reuses_read_only_log_masses(two_point):
     target, model = two_point
     first, again = pair_view(target, model, "exact"), pair_view(target, model, "exact")
-    for a, b in zip(first, again):
+    for name in _KEPT_FIELDS:
+        a, b = getattr(first, name), getattr(again, name)
         assert a is b
         assert not a.flags.writeable
 
@@ -510,6 +534,10 @@ def _mass_lists(n):
     return st.tuples(*[masses.filter(lambda c: sum(c) > 0)] * 2)
 
 
+# the arrays an exact view reads from its two distributions, the same on every call
+_KEPT_FIELDS = ("points", "lp", "lq", "pw", "qw")
+
+
 @settings(max_examples=100)
 @given(counts=st.integers(1, 32).flatmap(_mass_lists))
 def test_pair_view_exact_log_masses_are_taken_once(counts):
@@ -517,13 +545,14 @@ def test_pair_view_exact_log_masses_are_taken_once(counts):
     atoms = list(range(len(counts[0])))
     dists = [FiniteDist(atoms, np.asarray(c, dtype=float) / sum(c)) for c in counts]
     first = pair_view(*dists, "exact")
-    for log_mass, d in zip(first[1:3], dists):
+    for log_mass, d in zip((first.lp, first.lq), dists):
         assert not log_mass.flags.writeable
         with np.errstate(divide="ignore"):
             assert log_mass.tolist() == np.log(d.probs).tolist()
         assert np.array_equal(log_mass == -np.inf, d.probs == 0)
-    for a, b in zip(first, pair_view(*dists, "exact")):
-        assert a is b
+    again = pair_view(*dists, "exact")
+    for name in _KEPT_FIELDS:
+        assert getattr(first, name) is getattr(again, name)
 
 
 def test_finite_dist_keeps_a_read_only_copy():
@@ -549,15 +578,57 @@ _SAMPLED_PAIRS = [
 @pytest.mark.parametrize("pair", _SAMPLED_PAIRS, ids=["finite", "1-d", "2-d"])
 def test_pair_view_sample_is_the_ratio_at_model_draws(pair):
     target, model = pair
-    x, lp, lq, pw, qw = pair_view(target, model, "sample", 500, rng=np.random.default_rng(8))
+    view = pair_view(target, model, "sample", 500, rng=np.random.default_rng(8))
     draws = model.sample(np.random.default_rng(8), 500)
-    np.testing.assert_array_equal(lp - lq, ratio_of(target, model).log(draws))
+    assert view.mode == "sample"
+    np.testing.assert_array_equal(view.lp - view.lq, ratio_of(target, model).log(draws))
+    np.testing.assert_array_equal(view.log_r, ratio_of(target, model).log(draws))
     if isinstance(model, FiniteDist):
-        np.testing.assert_array_equal(x, [model.index(a) for a in draws])
+        np.testing.assert_array_equal(view.points, [model.index(a) for a in draws])
     else:
-        np.testing.assert_array_equal(x, draws)
-    np.testing.assert_array_equal(qw, np.full(500, 1 / 500))
-    np.testing.assert_array_equal(pw, qw * np.exp(lp - lq))
+        np.testing.assert_array_equal(view.points, draws)
+    np.testing.assert_array_equal(view.qw, np.full(500, 1 / 500))
+    np.testing.assert_array_equal(view.pw, view.qw * np.exp(view.lp - view.lq))
+
+
+@st.composite
+def _view_pairs(draw):
+    """A finite pair on one atom list, zero masses on either side included,
+    or a pair of 1-d mixtures."""
+    if draw(st.booleans()):
+        counts = draw(st.integers(1, 12).flatmap(_mass_lists))
+        atoms = list(range(len(counts[0])))
+        return [FiniteDist(atoms, np.asarray(c, dtype=float) / sum(c)) for c in counts]
+    pair = []
+    for _ in range(2):
+        k = draw(st.integers(1, 4))
+        weights = np.asarray(draw(st.lists(st.integers(1, 9), min_size=k, max_size=k)), float)
+        means = draw(st.lists(st.floats(-5.0, 5.0), min_size=k, max_size=k))
+        stds = draw(st.lists(st.floats(0.3, 3.0), min_size=k, max_size=k))
+        pair.append(GaussianMixture(weights / weights.sum(), np.asarray(means)[:, None], stds))
+    return pair
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=_view_pairs(), seed=st.integers(0, 2**32 - 1))
+def test_pair_view_log_r_is_lp_minus_lq_in_every_mode(pair, seed):
+    target, model = pair
+    finite = isinstance(model, FiniteDist)
+    orphan = finite and bool(np.any((model.probs == 0) & (target.probs > 0)))
+    for mode in ("exact", "sample") if finite else ("quadrature", "sample"):
+        if mode == "sample" and orphan:
+            # a calibration sample of a pair the model does not cover is refused
+            with pytest.raises(DomainError):
+                pair_view(target, model, mode, 64, rng=np.random.default_rng(seed))
+            continue
+        view = pair_view(target, model, mode, 512 if mode == "quadrature" else 64,
+                         rng=np.random.default_rng(seed))
+        with np.errstate(invalid="ignore"):
+            assert view.log_r.tobytes() == (view.lp - view.lq).tobytes()
+        if mode == "exact":
+            p, q = target.probs, model.probs
+            assert np.array_equal(np.isnan(view.log_r), (p == 0) & (q == 0))
+            assert np.array_equal(view.log_r == np.inf, (p > 0) & (q == 0))
 
 
 @pytest.mark.parametrize("n, rng", [

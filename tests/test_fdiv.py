@@ -25,7 +25,7 @@ from obrs import (
     renyi_divergence,
     single_gaussian,
 )
-from obrs.errors import AbsoluteContinuityError
+from obrs.errors import AbsoluteContinuityError, EstimationError
 from obrs.fdiv import (
     GENERATOR_PANEL,
     Generator,
@@ -371,6 +371,8 @@ def test_quadrature_handles_heavy_tails():
     st.floats(),
 )
 @example(4096, 1e308)  # returned nan: the grid's width overflows
+@example(4096, 1e150)  # returned 0.0: no node resolves either density
+@example(3, 1e150)  # returned -3.2e147
 def test_quadrature_grid_inputs_raise_typed_errors_or_give_a_number(n_nodes, span):
     target, model = bimodal_target(), single_gaussian(0.0, 1.5)
     try:
@@ -378,7 +380,16 @@ def test_quadrature_grid_inputs_raise_typed_errors_or_give_a_number(n_nodes, spa
             got = divergence_quadrature(Generator.gan(), target, model, n_nodes, span).value
     except ObrsError:
         return
-    assert not math.isnan(got)
+    # gan's range is [-log 4, 0]; a view whose masses miss 1 by up to 1e-2
+    # can reach about 0.014 below it
+    assert -math.log(4.0) - 0.02 <= got <= 0.0
+
+
+@pytest.mark.parametrize("n_nodes", [3, 4096])
+def test_quadrature_view_that_misses_the_mass_raises(n_nodes):
+    target, model = bimodal_target(), single_gaussian(0.0, 1.5)
+    with pytest.raises(EstimationError):
+        divergence_quadrature(Generator.gan(), target, model, n_nodes, span=1e150)
 
 
 def test_mc_estimate_tracks_exact(mixture_pair, rng):

@@ -20,9 +20,11 @@ from obrs import (
     single_gaussian,
     spacing_mismatch_pair,
 )
-from obrs.fdiv import GENERATOR_PANEL, Generator, max_divergence
+from obrs.dist import pair_view
+from obrs.fdiv import GENERATOR_PANEL, Generator, _fdiv_terms, max_divergence
 from obrs.landscape import _budgeted_losses, _fit_grids
 from obrs.oracle import random_instance
+from obrs.sampling import calibrate
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +100,29 @@ def test_all_budgets_from_one_view_match_each_budget_alone(two_point, mixture_pa
             losses = _budgeted_losses(gen, target, model, budgets, mode, 1024, 8.0)
             alone = [budgeted_loss(gen, target, model, k, mode, n_nodes=1024) for k in budgets]
             assert losses == alone, (gen.label, mode)
+
+
+def _fsum(values):
+    return math.fsum(values.tolist())
+
+
+@pytest.mark.parametrize("mode, total", [("exact", _fsum), ("quadrature", np.sum)])
+def test_loss_sums_exact_views_with_fsum_and_grids_with_np_sum(mode, total):
+    # the fit and landscape CSVs hold np.sum's bits over each grid; fsum
+    # there would change them, and np.sum on atoms would lose exactness
+    if mode == "exact":
+        target, model = random_instance(np.random.default_rng(3), n_atoms=32)
+    else:
+        target, model = bimodal_target(), single_gaussian(0.5, 1.2)
+    for gen in GENERATOR_PANEL:
+        view = pair_view(target, model, mode, 512)
+        log_a = calibrate(view.log_r, view.qw, 2.0).log_accept(view.log_r)
+        qa = view.qw * np.exp(log_a)
+        z = total(qa)
+        with np.errstate(all="ignore"):
+            log_u = view.lp - (view.lq + log_a - math.log(z))
+            want = float(total(_fdiv_terms(gen, view.pw, qa / z, log_u)))
+        assert budgeted_loss(gen, target, model, 2.0, mode, n_nodes=512) == want, gen.label
 
 
 def test_landscape_and_fit_lattices_match_the_per_budget_loss():

@@ -23,7 +23,7 @@ from obrs import (
 )
 from obrs.dist import pair_view
 from obrs.errors import DomainError, SupportMismatchError
-from obrs.fdiv import GENERATOR_PANEL, Generator, _acceptance_loss, _fsum, max_divergence
+from obrs.fdiv import GENERATOR_PANEL, Generator, _acceptance_loss, max_divergence
 from obrs.oracle import GenOptimality, OptimalityReport, _solved
 
 
@@ -142,13 +142,13 @@ def test_two_point_competitors_tie_at_best(two_point, rng):
 def _per_trial_report(target, model, budget, trials, rng, tol):
     """check_optimality as one _acceptance_loss call per trial and generator."""
     _, ref = _solved(target, model, budget)
-    _, lp, lq, pw, qw = pair_view(target, model, "exact")
+    view = pair_view(target, model, "exact")
     refined = {g.label: divergence_finite(g, target, ref.dist).value for g in GENERATOR_PANEL}
     losses = {g.label: [] for g in GENERATOR_PANEL}
     for _ in range(trials):
         log_a = np.log(random_feasible_acceptance(model, budget, rng))
         for g in GENERATOR_PANEL:
-            losses[g.label].append(_acceptance_loss(g, lp, lq, pw, qw, log_a, _fsum))
+            losses[g.label].append(_acceptance_loss(g, view, log_a))
     per_gen = {}
     for label, values in losses.items():
         best = min(values)

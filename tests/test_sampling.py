@@ -559,10 +559,10 @@ def test_drs_gamma_matches_the_calibrated_rate_on_its_view(budget):
     spec, drs, sol = refine_with_drs(
         target, model, budget, mode="sample", n=4000, rng=np.random.default_rng(5)
     )
-    x, *_, qw = pair_view(target, model, "sample", 4000, rng=np.random.default_rng(5))
+    view = pair_view(target, model, "sample", 4000, rng=np.random.default_rng(5))
     assert drs.kind == "logistic" and drs.log_sup == sol.log_sup
-    assert abs(float(np.dot(qw, drs.accept_prob(x))) - sol.rate) <= 1e-12
-    assert abs(float(np.dot(qw, spec.accept_prob(x))) - sol.rate) <= 1e-12
+    assert abs(float(np.dot(view.qw, drs.accept_prob(view.points))) - sol.rate) <= 1e-12
+    assert abs(float(np.dot(view.qw, spec.accept_prob(view.points))) - sol.rate) <= 1e-12
 
 
 def test_drs_on_a_finite_pair_keeps_the_exact_rate(two_point):
