@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -232,7 +233,7 @@ def run_refine(cfg: dict, out: Path) -> list[str]:
     log_r = view.checked_log_r()
     sol = calibrate(log_r, view.qw, budget)
     # c = 1: min(r / M, 1)
-    a_unbudgeted = np.exp(np.fmin(log_r - sol.log_sup, 0.0))
+    a_unbudgeted = np.exp(dataclasses.replace(sol, log_scale=0.0).log_accept(log_r))
     a_budgeted = np.exp(sol.log_accept(log_r))
     k_eff = 1.0 / sol.rate
     q = np.exp(view.lq)

@@ -12,10 +12,13 @@ with the slack c chosen by ``calibrate`` for a sampling budget K:
   every K proposals and the refined distribution is the best approximation
   to the target reachable at that cost.
 
-On log-ratios sorted once, the rate is piecewise linear in c, so the slack
-equation is solved exactly by a sort-and-scan (the water-filling step of
-simplex projection), in log space: proposal families whose ratios overflow
-double precision (log-ratios of several hundred) need no special cases.
+The rate is concave and piecewise linear in c, so the slack equation (the
+water-filling step of simplex projection) is solved exactly, in log space:
+Newton steps from the left of the root reach its segment in a few passes
+over the view, and a sort-and-scan solves small views, a view that Newton
+leaves unsolved after a capped number of steps, and one whose Newton root
+misses the target rate. Proposal families whose ratios overflow double
+precision (log-ratios of several hundred) need no special cases.
 Acceptance functions are ``unit``, ``clipped`` (the shape above, with
 log_scale = log c), ``logistic`` and ``table`` (explicit per-atom acceptance
 on a finite support). ``logistic`` is the published discriminator rejection
@@ -39,6 +42,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .dist import (
+    _LOG_FLOOR,
     Distribution,
     FiniteDist,
     RatioFn,
@@ -57,7 +61,9 @@ from .errors import (
 
 _BATCH = 8192  # proposals drawn per round of rejection sampling
 _DRS_EPS = 1e-6  # the DRS envelope margin eps: F is finite below log M + eps
-_GAMMA_TOL = 1e-12  # how far the DRS rate may miss the rate it is matched to
+_RATE_TOL = 1e-12  # how far a Newton slack solve or the DRS rate may miss its target
+_SORT_POINTS = 1024  # a slack solve on at most this many live points is a sort-and-scan
+_NEWTON_PASSES = 8  # Newton steps of the slack solve before the sort-and-scan finishes it
 
 
 # ---------------------------------------------------------------------------
@@ -221,18 +227,87 @@ def _solve_log_shift(
 ) -> tuple[float, float]:
     """Exact log-shift s with sum_i w_i min(exp(log_r_i + s), 1) = target_rate.
 
-    log_r is relative to the envelope. Sort the live points (w > 0, r > 0)
-    by decreasing log-ratio l_1 >= l_2 >= ...; for s between -l_k and
+    log_r is relative to the envelope. Over the live points (w > 0, r > 0)
+    the rate in t = e^s is W_S + t U_S, S the points saturated at s, W_S
+    their mass and U_S the sum of w e^l over the rest: concave and piecewise
+    linear, so a Newton step started left of the root lands left of it,
+    one or more segments nearer. The start s0 = log(target) - log sum w e^l
+    is left of the root, since min(x, 1) <= x. A step that saturates no new
+    point lies on the segment it was solved on and is the root in closed
+    form. A view of at most ``_SORT_POINTS`` live points, one still
+    unsolved after ``_NEWTON_PASSES`` steps, and one whose Newton root
+    measures more than ``_RATE_TOL`` from the target go to
+    ``_sort_and_scan``. Returns (s, the rate measured at s); a target
+    outside (0, live mass] raises ConvergenceError.
+    """
+    live = (weights > 0) & (log_r > -np.inf)
+    lr, w = log_r[live], weights[live]
+    if len(lr) > _SORT_POINTS and 0 < target_rate < float(np.sum(w)):
+        log_shift = _newton_from_left(lr, w, target_rate)
+        if log_shift is not None:
+            rate = _acceptance_rate(log_r, weights, log_shift)
+            if abs(rate - target_rate) <= _RATE_TOL:
+                return log_shift, rate
+    log_shift = _sort_and_scan(lr, w, target_rate)
+    return log_shift, _acceptance_rate(log_r, weights, log_shift)
+
+
+def _newton_from_left(lr: np.ndarray, w: np.ndarray, target_rate: float) -> float | None:
+    """s at the root, or None after ``_NEWTON_PASSES`` steps or a step that
+    rounding put past the root."""
+    l_max = float(np.max(lr))
+    # sum w e^(l - l_max), raised by the floor: s only starts further left
+    unclipped = float(w @ np.exp(np.maximum(lr - l_max, _LOG_FLOOR)))
+    s = math.log(target_rate) - l_max - math.log(unclipped)
+    n_sat, mass, log_rest = _split_at(lr, w, s)
+    for _ in range(_NEWTON_PASSES):
+        gap = target_rate - mass
+        if not (gap > 0 and log_rest > -math.inf):
+            return None
+        step = s + math.log(gap) - log_rest
+        n_step, mass, log_rest = _split_at(lr, w, step)
+        # saturated sets are nested, so an equal count means the same set:
+        # the step lies on the segment it was solved on
+        if n_step == n_sat:
+            return step
+        s, n_sat = step, n_step
+    return None
+
+
+def _split_at(lr: np.ndarray, w: np.ndarray, log_shift: float) -> tuple[int, float, float]:
+    """(saturated count, saturated mass, log of sum w e^(l + s) over the rest) at s.
+
+    The rest's exponents are shifted by their largest and raised to
+    _LOG_FLOOR, so exp stays off its slow subnormal path: a point more than
+    700 below the largest adds at most e^-700 of its weight against the
+    largest's whole weight. The saturated points, sent to the floor with
+    them, are taken out again as their mass times e^-700.
+    """
+    x = lr + log_shift
+    sat = x >= 0
+    n_sat, mass = int(np.count_nonzero(sat)), float(w @ sat)
+    x[sat] = -np.inf
+    top = float(x.max())
+    if top == -math.inf:
+        return n_sat, mass, -math.inf
+    x -= top
+    np.maximum(x, _LOG_FLOOR, out=x)
+    rest = float(w @ np.exp(x, out=x)) - mass * math.exp(_LOG_FLOOR)
+    return n_sat, mass, top + math.log(rest) if rest > 0 else -math.inf
+
+
+def _sort_and_scan(lr: np.ndarray, w: np.ndarray, target_rate: float) -> float:
+    """The log-shift by a full sort of live points (w > 0, lr > -inf).
+
+    Sort by decreasing log-ratio l_1 >= l_2 >= ...; for s between -l_k and
     -l_(k+1) the first k are saturated and the rate is W_k + e^s T_(k+1),
     W the prefix sums of w and T the suffix sums of w e^l (kept in log
     space). The rates at the knots s = -l_k bracket the target in one
-    segment, where s has a closed form. Returns (s, the rate measured at s);
-    a target outside (0, live mass] raises ConvergenceError.
+    segment, where s has a closed form.
     """
-    live = (weights > 0) & (log_r > -np.inf)
-    order = np.argsort(-log_r[live])
-    lr = log_r[live][order]
-    w = weights[live][order]
+    order = np.argsort(-lr)
+    lr = lr[order]
+    w = w[order]
     saturated = np.cumsum(w)
     log_tail = np.logaddexp.accumulate((np.log(w) + lr)[::-1])[::-1]
     # the rate at knot k, where point k is just saturated
@@ -249,7 +324,7 @@ def _solve_log_shift(
     log_shift = min(log_shift, -float(lr[k]))
     if k:
         log_shift = max(log_shift, -float(lr[k - 1]))
-    return log_shift, _acceptance_rate(log_r, weights, log_shift)
+    return log_shift
 
 
 def calibrate(log_r, weights, budget: float) -> ScaleSolution:
@@ -294,7 +369,7 @@ def calibrate(log_r, weights, budget: float) -> ScaleSolution:
 
 
 def _match_gamma(
-    logit: np.ndarray, weights: np.ndarray, target_rate: float
+    logit: np.ndarray, weights: np.ndarray, target_rate: float, start: float
 ) -> tuple[float, float]:
     """The DRS shift gamma with sum_i w_i sigmoid(F_i - gamma) = target_rate.
 
@@ -302,10 +377,10 @@ def _match_gamma(
     in gamma, from the mass W of the live points (w > 0, F > -inf) to 0, so a
     target in (0, W) has one root. Every sigmoid is at least t/W at
     gamma = min F - logit(t/W) and at most t/W at max F - logit(t/W): that
-    brackets it, and a Newton step that leaves the bracket falls back to
-    bisection. Returns (gamma, the rate measured at gamma); a target outside
-    (0, W), or a rate that ends more than 1e-12 from it, raises
-    ConvergenceError.
+    brackets it. Newton starts at start, clamped into the bracket, and a
+    step that leaves the bracket falls back to bisection. Returns (gamma, the
+    rate measured at gamma); a target outside (0, W), or a rate that ends
+    more than 1e-12 from it, raises ConvergenceError.
     """
     live = (weights > 0) & (logit > -np.inf)
     f, w = logit[live], weights[live]
@@ -315,7 +390,7 @@ def _match_gamma(
     p = target_rate / mass
     shift = math.log(p) - math.log1p(-p)
     lo, hi = float(np.min(f)) - shift, float(np.max(f)) - shift
-    gamma = 0.5 * (lo + hi)
+    gamma = min(max(start, lo), hi)
     best = (math.inf, gamma, math.nan)
     for _ in range(200):  # Newton takes a few passes; bisection alone, about 60
         a = np.exp(_log_sigmoid(f - gamma))
@@ -334,9 +409,9 @@ def _match_gamma(
             break
         gamma = nxt
     err, gamma, rate = best
-    if not err <= _GAMMA_TOL:
+    if not err <= _RATE_TOL:
         raise ConvergenceError(
-            f"DRS rate {rate!r} misses {target_rate!r} by more than {_GAMMA_TOL:g}"
+            f"DRS rate {rate!r} misses {target_rate!r} by more than {_RATE_TOL:g}"
         )
     return gamma, rate
 
@@ -580,9 +655,10 @@ def refine_with_drs(
     to 1/budget at the same 1e-12, so the call has one tolerance. At status
     ``unit`` both accept everything.
     """
-    ratio, view, sol, spec = _refined(target, model, budget, mode, _GAMMA_TOL, n, rng)
+    ratio, view, sol, spec = _refined(target, model, budget, mode, _RATE_TOL, n, rng)
     if sol.status == "unit":
         return spec, spec, sol
     logit = _drs_logit(view.log_r - sol.log_sup, sol.log_sup)
-    gamma, _ = _match_gamma(logit, view.qw, sol.rate)
+    # sigmoid(F) ~ e^F = r e^-gamma where r is small: the clipped c r / M
+    gamma, _ = _match_gamma(logit, view.qw, sol.rate, sol.log_sup - sol.log_scale)
     return spec, AcceptanceSpec.logistic(ratio, sol.log_sup, gamma), sol

@@ -608,8 +608,8 @@ def test_drs_gamma_outside_the_reachable_rates_raises():
     logit = np.array([-np.inf, 0.0, 1.0])
     weights = np.full(3, 1 / 3)
     with pytest.raises(ConvergenceError):
-        _match_gamma(logit, weights, 2 / 3)  # the live mass: only gamma = -inf reaches it
-    gamma, rate = _match_gamma(logit, weights, 0.25)
+        _match_gamma(logit, weights, 2 / 3, 0.0)  # the live mass: only gamma = -inf reaches it
+    gamma, rate = _match_gamma(logit, weights, 0.25, 0.0)
     assert abs(rate - 0.25) <= 1e-12
 
 
