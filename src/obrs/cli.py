@@ -33,6 +33,7 @@ import numpy as np
 from . import __version__
 from .dist import (
     FiniteDist,
+    _row_major_axes,
     bimodal_target,
     dist_from_json,
     gaussian_grid_2d,
@@ -398,13 +399,19 @@ def run_bounds(cfg: dict, out: Path) -> list[str]:
 def _grid2d_metrics(
     samples: np.ndarray, modes: np.ndarray, radius: float, quota: int
 ) -> tuple[float, float]:
-    # axis by axis: bit-identical to np.linalg.norm of the (n, k, 2) differences
-    dx = samples[:, 0:1] - modes[:, 0]
-    dy = samples[:, 1:2] - modes[:, 1]
+    """Precision and recall of samples against modes laid out as the row-major
+    product of two axes, as ``gaussian_grid_2d`` lays them out."""
+    axes = _row_major_axes(modes)
+    if axes is None:
+        raise DomainError("grid2d modes must be the row-major product of two axes")
+    # squares per axis, (n, nx) and (n, ny), summed by broadcasting:
+    # bit-identical to np.linalg.norm of the (n, k, 2) differences
+    dx = samples[:, 0:1] - axes[0]
+    dy = samples[:, 1:2] - axes[1]
     dx *= dx
     dy *= dy
-    dx += dy
-    d = np.sqrt(dx, out=dx)
+    d = np.add(dx[:, :, None], dy[:, None, :]).reshape(len(samples), len(modes))
+    np.sqrt(d, out=d)
     nearest = np.argmin(d, axis=1)
     close = d[np.arange(len(samples)), nearest] <= radius
     precision = float(np.mean(close))

@@ -14,6 +14,7 @@ deep tails (log-ratios of several hundred) never overflow prematurely.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -177,6 +178,9 @@ class GaussianMixture:
         log_w = np.log(weights, out=np.full_like(weights, -np.inf), where=weights > 0)
         log_norm = -np.sum(np.log(stds), axis=1) - 0.5 * dim * math.log(2 * math.pi)
         self._log_base = log_w + log_norm  # log(w_j) plus the normalizer of component j
+        # a 2-d grid (gaussian_grid_2d's layout) as its per-axis (mean, std) columns
+        axes = _row_major_axes(np.stack([means, stds], axis=2)) if dim == 2 else None
+        self._grid = None if axes is None else tuple((a[:, 0:1], a[:, 1:2]) for a in axes)
 
     @property
     def n_components(self) -> int:
@@ -197,18 +201,27 @@ class GaussianMixture:
         raise DomainError(f"a {self.dim}-d mixture cannot read points of shape {pts.shape}")
 
     def log_density(self, x) -> np.ndarray | float:
-        """Log density; exact in log space even deep in the tails."""
+        """Log density; exact in log space even deep in the tails.
+
+        Works axis by axis on component-major (k, n) arrays: no (n, k, dim)
+        temporaries, and every reduction runs over the long axis. A 2-d
+        mixture whose components are the row-major product of per-axis
+        (mean, std) lists, as ``gaussian_grid_2d`` builds them, takes each
+        axis's squares once per distinct pair and forms the (k, n) sum by
+        broadcasting. The elementwise ops are those of the (n, k) formula
+        and the rows are summed in its order, so the bits are the same on
+        either path. The points x are only read.
+        """
         pts = self._points(x)  # (n, dim)
-        # axis by axis on component-major (k, n) arrays: no (n, k, dim)
-        # temporaries, and every reduction runs over the long axis. The
-        # elementwise ops are those of the (n, k) formula and the rows are
-        # summed in its order, so the bits are the same.
-        sq = None
-        for d in range(self.dim):
-            z = pts[:, d] - self.means[:, d:d + 1]
-            z /= self.stds[:, d:d + 1]
-            z *= z
-            sq = z if sq is None else np.add(sq, z, out=sq)
+        if self._grid is not None:
+            (mx, sx), (my, sy) = self._grid
+            zx = _axis_squares(pts[:, 0], mx, sx)  # (nx, n)
+            zy = _axis_squares(pts[:, 1], my, sy)  # (ny, n)
+            sq = np.add(zx[:, None, :], zy[None, :, :]).reshape(len(self._log_base), -1)
+        else:
+            sq = _axis_squares(pts[:, 0], self.means[:, 0:1], self.stds[:, 0:1])
+            if self.dim == 2:
+                sq += _axis_squares(pts[:, 1], self.means[:, 1:2], self.stds[:, 1:2])
         sq *= 0.5
         comp = np.subtract(self._log_base[:, None], sq, out=sq)
         if len(comp) == 1:
@@ -227,7 +240,8 @@ class GaussianMixture:
             # slow subnormal and underflow path. NaN passes through maximum.
             np.maximum(comp, _LOG_FLOOR, out=comp)
             np.exp(comp, out=comp)
-            out = m + np.log(_pairwise_row_sum(comp))
+            s = _pairwise_row_sum(comp)  # a row of comp's own storage
+            out = np.add(m, np.log(s, out=s), out=m)
             out[dead] = -np.inf
         return _match_shape(out, x, self.dim)
 
@@ -256,25 +270,60 @@ class GaussianMixture:
         }
 
 
+def _axis_squares(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """((x - mean) / std)**2 as a (len(mean), n) array, for (k, 1) columns."""
+    z = x - mean
+    z /= std
+    z *= z
+    return z
+
+
+def _row_major_axes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Two lists xs, ys with keys[i * len(ys) + j] == (xs[i], ys[j]) for every
+    i, j, read off the (k, 2, ...) array keys; None if keys are laid out
+    otherwise."""
+    x, y = keys[:, 0], keys[:, 1]
+    k = len(x)
+    first = (x == x[0]).reshape(k, -1).all(axis=1)
+    run = k if first.all() else int(np.argmin(first))  # x[0]'s leading run
+    # len(ys) is at most that run; a repeated x pair can make it shorter
+    for ny in range(run, 0, -1):
+        if k % ny:
+            continue
+        xs, ys = x[::ny], y[:ny]
+        grid = (k // ny, ny) + x.shape[1:]
+        if np.all(x.reshape(grid) == xs[:, None]) and np.all(y.reshape(grid) == ys[None]):
+            return xs, ys
+    return None
+
+
 def _pairwise_row_sum(a: np.ndarray) -> np.ndarray:
     """The rows of a (k, n) array summed as ``np.sum(a.T, axis=1)`` sums them.
 
     numpy adds a contiguous run of k values in pairwise order: below 8 one
     after another; up to 128 in 8 strided accumulators, combined as a fixed
     tree, then the remainder; above 128 as two halves split at a multiple of
-    8. Each step here is that step applied to whole rows at once.
+    8. Each step here is that step applied to whole rows at once. From k = 8
+    the sums accumulate in a's own rows, which they overwrite; the result is
+    then a view of one of them.
     """
     k = len(a)
     if k < 8:
         return np.sum(a, axis=0)  # sequential over axis 0
     if k > 128:
         half = k // 2 - k // 2 % 8
-        return _pairwise_row_sum(a[:half]) + _pairwise_row_sum(a[half:])
+        s = _pairwise_row_sum(a[:half])
+        s += _pairwise_row_sum(a[half:])
+        return s
     top = k - k % 8
-    r = a[:8].copy()
+    r = a[:8]
     for i in range(8, top, 8):
         r += a[i:i + 8]
-    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    r[0::2] += r[1::2]
+    r[0::4] += r[2::4]
+    r[0] += r[4]
+    s = r[0]
     for i in range(top, k):
         s += a[i]
     return s
@@ -316,12 +365,18 @@ class RatioFn:
     log form public matters: mixture pairs can have log-ratios of several
     hundred where exp() would overflow. ``kind`` names the family the ratio
     reads (``finite`` atoms or ``mixture`` points; ``analytic`` for one
-    built by hand), and ``calls`` counts the points evaluated.
+    built by hand), ``calls`` counts the points evaluated, and ``bound_fn``,
+    where given, returns a closed-form upper bound on sup log r.
     """
 
     log_fn: Callable[[Any], np.ndarray | float]
     kind: str = "analytic"
     calls: int = field(default=0, compare=False)  # points evaluated, not batches
+    bound_fn: Callable[[], float] | None = field(default=None, compare=False, repr=False)
+
+    def log_sup_bound(self) -> float:
+        """An upper bound on sup log r; +inf where none is known."""
+        return math.inf if self.bound_fn is None else self.bound_fn()
 
     def log(self, x) -> np.ndarray | float:
         if np.isscalar(x) or isinstance(x, tuple):
@@ -360,9 +415,30 @@ def ratio_of(target: Distribution, model: Distribution) -> RatioFn:
         def log_fn(x):
             return target.log_density(x) - model.log_density(x)
 
-        return RatioFn(log_fn, kind="mixture")
+        bound = functools.cache(lambda: _log_ratio_bound(target, model))  # taken once, if asked
+        return RatioFn(log_fn, kind="mixture", bound_fn=bound)
 
     raise SupportMismatchError("ratio_of needs two finite or two mixture distributions")
+
+
+def _log_ratio_bound(target: GaussianMixture, model: GaussianMixture) -> float:
+    """A closed-form U >= sup_x log p(x)/q(x) for two mixtures of one dimension.
+
+    p/q <= sum_j min_k w_j N_j / (v_k N'_k) over the target components j of
+    weight w_j > 0 and the model components k of weight v_k. Per axis,
+    sup_x log N(x; mu, s) / N(x; nu, t) is log(t/s) + (mu - nu)^2 / (2 (t^2 -
+    s^2)) for t > s, 0 for t = s and mu = nu, and +inf otherwise. So U is
+    finite when every weighted target component has a model component of
+    positive weight that is wider on every axis (or equal to it there).
+    """
+    live = target.weights > 0
+    mu, s = target.means[live, None, :], target.stds[live, None, :]  # (J, 1, dim)
+    nu, t = model.means[None], model.stds[None]  # (1, K, dim)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wider = np.log(t / s) + (mu - nu) ** 2 / (2.0 * (t - s) * (t + s))
+        gap = np.where(t > s, wider, np.where((t == s) & (mu == nu), 0.0, np.inf))
+        terms = np.log(target.weights[live])[:, None] - np.log(model.weights) + gap.sum(axis=2)
+    return float(np.logaddexp.reduce(np.min(terms, axis=1)))
 
 
 # ---------------------------------------------------------------------------

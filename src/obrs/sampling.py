@@ -64,6 +64,7 @@ _DRS_EPS = 1e-6  # the DRS envelope margin eps: F is finite below log M + eps
 _RATE_TOL = 1e-12  # how far a Newton slack solve or the DRS rate may miss its target
 _SORT_POINTS = 1024  # a slack solve on at most this many live points is a sort-and-scan
 _NEWTON_PASSES = 8  # Newton steps of the slack solve before the sort-and-scan finishes it
+_LOG_UNDERFLOW = -745.2  # exp of a log acceptance below this is 0 in floating point
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +193,13 @@ class AcceptanceSpec(_LogScaled):
 
     def _of_log_ratio(self, lr) -> np.ndarray:
         """A ratio-based acceptance from log-ratios already evaluated."""
-        lr = np.atleast_1d(np.asarray(lr, dtype=float))
+        return np.exp(self._log_of_log_ratio(np.atleast_1d(np.asarray(lr, dtype=float))))
+
+    def _log_of_log_ratio(self, lr):
+        """log a of a ratio-based acceptance; nondecreasing in the log-ratio lr."""
         if self.kind == "clipped":
-            return np.exp(self.log_accept(lr))
-        return np.exp(_log_sigmoid(_drs_logit(lr - self.log_sup, self.log_sup) + self.log_scale))
+            return self.log_accept(lr)
+        return _log_sigmoid(_drs_logit(lr - self.log_sup, self.log_sup) + self.log_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +452,13 @@ def rejection_sample(
     are examined before the quota fills. Before any draw it raises
     DomainError if n_target is not an integer >= 1, max_draws not None or an
     integer >= 0, the spec cannot read a live atom of a finite model or its
-    exact rate there is 0, and SupportMismatchError if the spec's table or
-    ratio is of the other family than the model.
+    exact rate there is 0, or a clipped or logistic acceptance on a mixture
+    model is 0 in floating point at the ratio's closed-form bound U on sup
+    log r (log a < -745.2 there), and SupportMismatchError if the spec's
+    table or ratio is of the other family than the model. Where U is +inf,
+    as when some target component has no wider model component, nothing is
+    decided before drawing: a spec whose acceptance is 0 at every proposal
+    then draws without end unless max_draws is given.
     """
     return rejection_sample_shared(model, (spec,), n_target, rng, max_draws)[0]
 
@@ -472,10 +481,11 @@ def rejection_sample_shared(
     max_draws)`` returns from the same rng state, and the rng ends where the
     spec that draws longest leaves it. When max_draws run out, the
     BudgetExhaustedError is that of the first spec still short of its quota.
-    Before any draw, bad counts, an atom a spec cannot read and an exact
-    rate 0 under a finite model raise DomainError; a table, finite or
-    mixture acceptance on a model of the other family raises
-    SupportMismatchError.
+    Before any draw, bad counts, an atom a spec cannot read, an exact rate 0
+    under a finite model and a mixture acceptance that is 0 in floating
+    point at its ratio's bound on sup log r raise DomainError, as in
+    ``rejection_sample``; a table, finite or mixture acceptance on a model
+    of the other family raises SupportMismatchError.
     """
     n_target = _count(n_target, "samples to keep", 1)
     if max_draws is not None:
@@ -495,6 +505,16 @@ def rejection_sample_shared(
             # the exact acceptance rate; at 0 the loop below would never return
             if not np.dot(model.probs[live], a[live]) > 0:
                 raise DomainError("acceptance rate is 0 under the model: no proposal can pass")
+    else:
+        for spec in specs:
+            if spec.ratio is None:
+                continue
+            # a is nondecreasing in r, so no proposal passes where a at the
+            # bound U on sup log r is 0; NaN and U = +inf decide nothing
+            bound = spec.ratio.log_sup_bound()
+            if spec._log_of_log_ratio(bound) < _LOG_UNDERFLOW:
+                raise DomainError(f"acceptance is 0 in floating point up to the bound {bound!r} "
+                                  "on sup log r: no proposal can pass")
     kept: list[list] = [[] for _ in specs]
     n_kept = [0] * len(specs)
     draws_used = [0] * len(specs)

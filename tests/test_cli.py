@@ -13,6 +13,7 @@ import pytest
 
 from obrs import (
     AcceptanceSpec,
+    DomainError,
     FiniteDist,
     ObrsError,
     RatioFn,
@@ -617,8 +618,12 @@ def test_grid2d_metrics_match_norm_reference():
     rng = np.random.default_rng(8)
     modes = gaussian_grid_2d().means
     quota = 3
-    for n in (1, 17, 2500):
+    # exact ties: midway between two modes, and at the center of four
+    ties = np.array([[0.5, 0.0], [-0.5, 1.0], [0.5, 0.5], [-1.5, -1.5], [2.0, 1.5], [0.0, 0.0]])
+    for n in (1, 17, 2500, 6, 2506):
         samples = rng.normal(scale=1.5, size=(n, 2))
+        if n % 500 == 6:
+            samples[-6:] = ties
         d = np.linalg.norm(samples[:, None, :] - modes[None, :, :], axis=2)
         nearest = np.argmin(d, axis=1)
         # a radius on a sample's exact distance: one ulp more flips its verdict
@@ -627,6 +632,18 @@ def test_grid2d_metrics_match_norm_reference():
         counts = np.bincount(nearest[close], minlength=len(modes))
         expected = (float(np.mean(close)), float(np.mean(counts >= quota)))
         assert _grid2d_metrics(samples, modes, radius, quota) == expected
+        if n % 500 == 6:
+            # a tie goes to the first mode in row-major order, as in argmin
+            tied = np.argmin(np.linalg.norm(ties[:, None, :] - modes[None], axis=2), axis=1)
+            assert tied.tolist() == [12, 8, 12, 0, 23, 12]
+            # within 0.5: all but the two at 0.5 * sqrt(2); only mode 12 has 2
+            assert _grid2d_metrics(ties, modes, 0.5, 2) == (4 / 6, 1 / 25)
+
+
+def test_grid2d_metrics_need_modes_on_a_row_major_grid():
+    modes = gaussian_grid_2d().means[np.random.default_rng(3).permutation(25)]
+    with pytest.raises(DomainError):
+        _grid2d_metrics(np.zeros((4, 2)), modes, 0.2, 1)
 
 
 @pytest.mark.parametrize(

@@ -234,20 +234,106 @@ def _wide_mixture(k: int) -> GaussianMixture:
                            rng.uniform(0.05, 2.0, size=(k, 1)))
 
 
-@pytest.mark.parametrize("case", ["spacing", "grid2d", "k130"])
+def _product_grid(xs, ys, weights=None):
+    """The mixture whose component i * len(ys) + j has the per-axis (mean,
+    std) pairs xs[i] and ys[j]: gaussian_grid_2d's layout."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    k = len(xs) * len(ys)
+    x, y = np.repeat(xs, len(ys), axis=0), np.tile(ys, (len(xs), 1))
+    if weights is None:
+        weights = np.full(k, 1.0 / k)
+    return GaussianMixture(weights, np.stack([x[:, 0], y[:, 0]], axis=1),
+                           np.stack([x[:, 1], y[:, 1]], axis=1))
+
+
+def _jittered_surrogate():
+    """grid2d's surrogate at its defaults, with 5 of its 25 modes emptied."""
+    weights = np.random.default_rng([7, 0xD1]).dirichlet(np.full(25, 200.0 / 25.0))
+    weights[[0, 6, 12, 13, 24]] = 0.0
+    return gaussian_grid_2d(0.1, weights=weights / weights.sum())
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["spacing", "grid2d", "k130", "surrogate", "unequal", "k144", "1x5", "repeated", "permuted"],
+)
 def test_log_density_is_bit_identical_on_the_lattice_and_grid_inputs(case):
     # the component-major rows must be summed in numpy's pairwise order:
-    # 8 accumulators from k = 8, two halves past k = 128
+    # 8 accumulators from k = 8, two halves past k = 128. A 2-d grid in
+    # row-major order takes its squares per axis; any other order may not
+    x = np.random.default_rng(25).uniform(-2.5, 2.5, size=(8192, 2))
     if case == "spacing":
         m = spacing_mismatch_pair(1.3)[0]  # k = 10
         x, _ = trapezoid_grid(list(spacing_mismatch_pair(1.3)), n_nodes=4096)
     elif case == "grid2d":
         m = gaussian_grid_2d()  # k = 25
-        x = np.random.default_rng(25).uniform(-2.5, 2.5, size=(8192, 2))
-    else:
+    elif case == "k130":
         m = _wide_mixture(130)
         x = np.linspace(-20.0, 20.0, 4096)
+    elif case == "surrogate":
+        m = _jittered_surrogate()
+    elif case == "unequal":
+        axis = np.arange(5) - 2.0
+        m = _product_grid(np.stack([axis, np.full(5, 0.05)], 1),
+                          np.stack([0.5 * axis, [0.02, 0.3, 0.1, 0.3, 0.07]], 1))
+    elif case == "k144":
+        axis = np.linspace(-2.2, 2.2, 12)
+        m = _product_grid(np.stack([axis, np.full(12, 0.1)], 1), np.stack([axis, np.full(12, 0.15)], 1))
+    elif case == "1x5":
+        m = _product_grid([[0.3, 0.2]], np.stack([np.arange(5) - 2.0, np.full(5, 0.1)], 1))
+    elif case == "repeated":  # x pairs A, A, B: a 3x2 grid, though A's run is 4 long
+        m = _product_grid([[0.0, 1.0], [0.0, 1.0], [2.0, 0.5]], [[0.0, 0.5], [1.0, 0.5]])
+    else:
+        order = np.random.default_rng(5).permutation(25)
+        grid = gaussian_grid_2d()
+        m = GaussianMixture(grid.weights[order], grid.means[order], grid.stds[order])
+    assert (getattr(m, "_grid", None) is not None) == (m.dim == 2 and case != "permuted")
     assert np.array_equal(m.log_density(x), _broadcast_log_density(m, x))
+
+
+@st.composite
+def _product_grid_and_points(draw):
+    nx, ny = draw(st.integers(1, 13)), draw(st.integers(1, 13))
+    # a few fixed values make repeated per-axis pairs common
+    coord = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-10.0, 10.0, allow_nan=False))
+    sd = st.one_of(st.sampled_from([0.5]), st.floats(0.01, 5.0))
+    xs = draw(st.lists(st.tuples(coord, sd), min_size=nx, max_size=nx))
+    ys = draw(st.lists(st.tuples(coord, sd), min_size=ny, max_size=ny))
+    raw = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=nx * ny, max_size=nx * ny))
+    if sum(raw) == 0:
+        raw[0] = 1.0
+    m = _product_grid(xs, ys, np.asarray(raw) / sum(raw))
+    n = draw(st.integers(1, 40))
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+    # points 50 sigma out along both axes of one component
+    j = draw(st.integers(0, nx * ny - 1))
+    far = m.means[j] + 50.0 * m.stds[j] * draw(st.sampled_from([-1.0, 1.0]))
+    return m, np.vstack([np.asarray(pts), far])
+
+
+@settings(max_examples=200)
+@given(_product_grid_and_points())
+def test_log_density_on_product_grids_is_bit_identical_to_broadcast_formula(case):
+    m, x = case
+    assert m._grid is not None
+    assert np.array_equal(m.log_density(x), _broadcast_log_density(m, x))
+
+
+@pytest.mark.parametrize("m", [bimodal_target(), spacing_mismatch_pair(1.3)[0],
+                               _wide_mixture(130), gaussian_grid_2d(), _jittered_surrogate()],
+                         ids=["k2", "k10", "k130", "grid2d", "surrogate"])
+def test_log_density_leaves_its_points_alone_and_repeats_its_bits(m):
+    # the row sum accumulates in log_density's own working rows, never in x
+    rng = np.random.default_rng(9)
+    x = rng.uniform(-3.0, 3.0, size=(4096,) if m.dim == 1 else (4096, 2))
+    kept = x.copy()
+    first = m.log_density(x)
+    assert np.array_equal(x, kept)
+    x.setflags(write=False)
+    again = m.log_density(x)
+    assert np.array_equal(x, kept)
+    assert first.tobytes() == again.tobytes() == _broadcast_log_density(m, kept).tobytes()
+    assert first is not again and not np.shares_memory(first, x)
 
 
 def _banded_mixture_and_points(k, dim, seed):

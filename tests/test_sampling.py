@@ -15,6 +15,7 @@ from obrs import (
     BudgetExhaustedError,
     DomainError,
     FiniteDist,
+    GaussianMixture,
     ObrsError,
     OutOfBallError,
     RatioFn,
@@ -532,6 +533,58 @@ def test_mixture_sampling_with_an_underflowing_slack_stops(log_scale):
     with _time_limit(5.0), pytest.raises(DomainError):
         spec = AcceptanceSpec.clipped(ratio_of(target, model), 0.0, log_scale)
         rejection_sample(model, spec, 10, rng)
+
+
+@pytest.mark.parametrize(
+    "kind, log_sup, shape",
+    [
+        ("clipped", 1e300, 0.0),  # r/M underflows at every proposal
+        ("clipped", 800.0, 0.0),
+        ("logistic", 5.0, 1e6),  # sigmoid(F - gamma) underflows at every proposal
+        ("logistic", 3.0, 800.0),
+    ],
+)
+def test_mixture_sampling_that_no_proposal_can_pass_stops(kind, log_sup, shape):
+    # shape is log_scale for clipped and gamma for logistic; each is fine on
+    # its own. The closed-form bound on sup log r (about 2.1 here) puts every
+    # acceptance below exp's range, which the sampler decides before a draw
+    target, model = bimodal_target(), single_gaussian(0.0, 1.5)
+    rng = np.random.default_rng(15)
+    state = rng.bit_generator.state
+    make = AcceptanceSpec.clipped if kind == "clipped" else AcceptanceSpec.logistic
+    spec = make(ratio_of(target, model), log_sup, shape)
+    with _time_limit(5.0), pytest.raises(DomainError, match="bound"):
+        rejection_sample(model, spec, 1, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_mixture_sampling_just_inside_exp_range_is_not_refused():
+    # log a is at most about -744 at the bound: not 0 in floating point, so
+    # nothing is decided and the sampler runs to its cap
+    target, model = bimodal_target(), single_gaussian(0.0, 1.5)
+    ratio = ratio_of(target, model)
+    spec = AcceptanceSpec.clipped(ratio, ratio.log_sup_bound() + 744.0)
+    with _time_limit(5.0), pytest.raises(BudgetExhaustedError):
+        rejection_sample(model, spec, 1, np.random.default_rng(16), max_draws=100)
+
+
+def test_mixture_ratio_bound_holds_and_is_infinite_without_a_wider_model():
+    target, model = bimodal_target(), single_gaussian(0.0, 1.5)
+    bound = ratio_of(target, model).log_sup_bound()
+    # each mode: log(1/2 * 3) + 2^2 / (2 * (1.5^2 - 0.5^2)) = log 1.5 + 1
+    assert bound == pytest.approx(math.log(3.0) + 1.0, rel=1e-15)
+    x = np.linspace(-30.0, 30.0, 200_001)
+    assert np.max(ratio_of(target, model).log(x)) <= bound
+    # no model component is wider than the target's: sup log r is +inf
+    assert ratio_of(single_gaussian(0.0, 1.5), target).log_sup_bound() == math.inf
+    # equal widths bound only a mode on the same mean
+    same = ratio_of(single_gaussian(1.0, 0.5), GaussianMixture([0.5, 0.5], [[1.0], [3.0]], 0.5))
+    assert same.log_sup_bound() == pytest.approx(math.log(2.0), rel=1e-15)
+    assert ratio_of(single_gaussian(1.0, 0.5), single_gaussian(1.5, 0.5)).log_sup_bound() == math.inf
+    grid = gaussian_grid_2d(0.05)
+    wide = gaussian_grid_2d(0.2, weights=np.random.default_rng(3).dirichlet(np.full(25, 8.0)))
+    pts = wide.sample(np.random.default_rng(4), 20_000)
+    assert np.max(ratio_of(grid, wide).log(pts)) <= ratio_of(grid, wide).log_sup_bound() < math.inf
 
 
 def test_clipped_spec_keeps_the_smallest_solved_slack(mixture_pair):
